@@ -228,6 +228,17 @@ def _build_kernels(cfg: dict) -> MultiKernel:
         raise ConfigError(f"bad kernel config: {exc}") from None
 
 
+def _int_in_range(cfg: dict, key: str, hi: int) -> int:
+    """cfg[key] as an integer in [1, hi], else a ConfigError naming the key."""
+    try:
+        value = int(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
+    if not 1 <= value <= hi:
+        raise ConfigError(f"{key} must be in [1, {hi}], got {value}")
+    return value
+
+
 def _build_input_dist(cfg: dict):
     kind = cfg["input_kind"]
     if kind == "gaussian":
@@ -347,12 +358,13 @@ def cmd_fit(cfg: dict, out: Path) -> dict:
     if learn_ls and optimizer != "adam":
         raise ConfigError("learn_lengthscales requires the adam optimizer")
     theta0 = _build_theta(cfg, kernels, "theta0_signal", "theta0_noise")
+    if optimizer not in ("sgd", "adam"):
+        raise ConfigError(f"unknown optimizer {optimizer!r}")
+    _int_in_range(cfg, "m", dataset.n)
     if optimizer == "sgd":
         trace = sgd_fit(dataset, kernels, run_cfg, theta0)
-    elif optimizer == "adam":
-        trace = adam_fit(dataset, kernels, run_cfg, theta0, learn_lengthscales=learn_ls)
     else:
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
+        trace = adam_fit(dataset, kernels, run_cfg, theta0, learn_lengthscales=learn_ls)
     trace.to_csv(out / "trace.csv", include_timing=False)
     final = trace.final_theta
     params = {
@@ -390,9 +402,9 @@ def cmd_predict(cfg: dict, out: Path) -> dict:
 
     strategy = cfg["strategy"]
     if strategy == "nearest":
-        index = build_index(train.X)
+        n_neighbors = _int_in_range(cfg, "n_neighbors", train.n)
         result = predict_nn(theta, kernels, train.X, train.y, test.X,
-                            int(cfg["n_neighbors"]), index)
+                            n_neighbors, build_index(train.X))
     else:
         chosen = None if strategy == "auto" else PredictStrategy(strategy)
         result = predict(theta, kernels, train.X, train.y, test.X, strategy=chosen,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import HyperParams, MultiKernel, marginal_covariance
-from .linalg import NotPositiveDefiniteError, cholesky
+from .linalg import cholesky
 from .seeds import component_rng
 
 
@@ -108,11 +108,7 @@ def simulate_gp(
     rng = component_rng(seed, "simulate-gp")
     X = input_dist.sample(rng, n, input_dim)
     K = marginal_covariance(kernels, theta_true, X)
-    try:
-        factor = cholesky(K)
-    except NotPositiveDefiniteError:
-        # Cannot happen with a positive noise variance; kept as a guard.
-        raise
+    factor = cholesky(K)
     y = factor.lower @ rng.standard_normal(n)
     provenance = {
         "generator": "gp",

@@ -116,9 +116,8 @@ def cg_solve(
     b: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
-    """(Preconditioned) conjugate gradient for a symmetric PD operator.
+    """Conjugate gradient for a symmetric PD operator.
 
     Stops when ||A x - b||_2 / ||b||_2 <= tol or after `max_iter` iterations;
     the result reports which happened. Raises CGBreakdownError on a direction
@@ -133,9 +132,8 @@ def cg_solve(
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
 
     iterations = 0
     residual = 1.0
@@ -146,17 +144,16 @@ def cg_solve(
             raise CGBreakdownError(
                 f"non-positive curvature p^T A p = {pAp:g} at iteration {iterations + 1}"
             )
-        alpha = rz / pAp
+        alpha = rr / pAp
         x = x + alpha * p
         r = r - alpha * Ap
         iterations += 1
         residual = float(np.linalg.norm(r)) / b_norm
         if residual <= tol:
             return CGResult(x=x, iterations=iterations, converged=True, residual=residual)
-        z = precond(r) if precond is not None else r
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
+        rr_next = float(r @ r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
 
     return CGResult(x=x, iterations=iterations, converged=False, residual=residual)
 
@@ -169,11 +166,3 @@ def two_sided_solve(factor: CholeskyFactor, D: np.ndarray) -> np.ndarray:
     A = scipy.linalg.solve_triangular(factor.lower, D, lower=True)
     return scipy.linalg.solve_triangular(factor.lower, A.T, lower=True)
 
-
-def jacobi_preconditioner(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Diagonal (Jacobi) preconditioner from the operator's diagonal."""
-    diagonal = np.asarray(diagonal, dtype=np.float64)
-    if np.any(diagonal <= 0):
-        raise ValueError("Jacobi preconditioner requires a strictly positive diagonal")
-    inv = 1.0 / diagonal
-    return lambda v: inv * v

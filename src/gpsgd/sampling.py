@@ -1,15 +1,13 @@
 """Minibatch construction: uniform random subsets and nearest-neighbor
-subsets found with an exact k-d tree.
+subsets found with scipy's cKDTree.
 
-The k-d tree splits on the dimension of maximum spread at the median and
-answers exact k-nearest-neighbor queries under Euclidean distance. Ties are
-broken by smaller index so query results have a total order and every batch
-is reproducible.
+Queries are exact k-nearest-neighbor searches under Euclidean distance. Ties
+are broken by smaller index so query results have a total order and every
+batch is reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,18 +40,17 @@ class Minibatch:
         return len(self.indices)
 
 
-_LEAF_SIZE = 32
+# Relative widening of the k-th distance; far above the few ulps by which the
+# tree's distances can differ from the einsum ones.
+_RADIUS_SLACK = 1.0 + 1e-9
 
 
 class SpatialIndex:
-    """Exact k-d tree over the rows of X.
-
-    Nodes split the widest dimension at its median; leaves keep up to
-    `leaf_size` points and are scanned directly. Immutable after build and
-    safe for concurrent queries.
+    """Exact k-nearest-neighbor index over the rows of X, backed by
+    scipy's cKDTree. Immutable after build and safe for concurrent queries.
     """
 
-    def __init__(self, X: np.ndarray, leaf_size: int = _LEAF_SIZE):
+    def __init__(self, X: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[:, None]
@@ -61,55 +58,13 @@ class SpatialIndex:
             raise ValueError(f"expected an n x D matrix, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite coordinates")
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be at least 1")
+        # Imported here, not at module level: scipy.spatial adds about 0.1 s
+        # to `import gpsgd`, which most commands never need.
+        from scipy.spatial import cKDTree
+
         self.points = X
         self.n = X.shape[0]
-        self.leaf_size = leaf_size
-        # Flat node arrays: internal nodes store (split_dim, split_value,
-        # left, right); leaves store a slice of the permutation array.
-        self._split_dim: list[int] = []
-        self._split_val: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._leaf_lo: list[int] = []
-        self._leaf_hi: list[int] = []
-        self._perm = np.arange(self.n)
-        self._root = self._build(0, self.n)
-
-    def _new_node(self) -> int:
-        self._split_dim.append(-1)
-        self._split_val.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._leaf_lo.append(-1)
-        self._leaf_hi.append(-1)
-        return len(self._split_dim) - 1
-
-    def _build(self, lo: int, hi: int) -> int:
-        node = self._new_node()
-        count = hi - lo
-        idx = self._perm[lo:hi]
-        if count <= self.leaf_size:
-            self._leaf_lo[node] = lo
-            self._leaf_hi[node] = hi
-            return node
-        block = self.points[idx]
-        spread = block.max(axis=0) - block.min(axis=0)
-        dim = int(np.argmax(spread))
-        if spread[dim] == 0.0:
-            # All points identical; no split can separate them.
-            self._leaf_lo[node] = lo
-            self._leaf_hi[node] = hi
-            return node
-        mid = count // 2
-        order = np.argpartition(block[:, dim], mid)
-        self._perm[lo:hi] = idx[order]
-        self._split_dim[node] = dim
-        self._split_val[node] = float(self.points[self._perm[lo + mid], dim])
-        self._left[node] = self._build(lo, lo + mid)
-        self._right[node] = self._build(lo + mid, hi)
-        return node
+        self._tree = cKDTree(X)
 
     def query(self, point: np.ndarray, k: int) -> np.ndarray:
         """Indices of the k nearest rows to `point`, ordered by nondecreasing
@@ -121,39 +76,19 @@ class SpatialIndex:
             )
         if not 1 <= k <= self.n:
             raise ValueError(f"k must be in [1, {self.n}], got {k}")
-        # Max-heap (negated keys) of the best (dist^2, index) pairs so far.
-        heap: list[tuple[float, int]] = []
-        self._search(self._root, point, k, heap)
-        best = sorted((-d, -i) for d, i in heap)
-        return np.array([i for _, i in best], dtype=np.intp)
-
-    def _search(self, node: int, point: np.ndarray, k: int, heap: list) -> None:
-        lo = self._leaf_lo[node]
-        if lo >= 0:
-            leaf = self._perm[lo:self._leaf_hi[node]]
-            diff = self.points[leaf] - point
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            for dist_sq, i in zip(d2, leaf):
-                key = (float(dist_sq), int(i))
-                if len(heap) < k:
-                    heapq.heappush(heap, (-key[0], -key[1]))
-                elif key < (-heap[0][0], -heap[0][1]):
-                    heapq.heapreplace(heap, (-key[0], -key[1]))
-            return
-        dim = self._split_dim[node]
-        plane = point[dim] - self._split_val[node]
-        near, far = (self._right[node], self._left[node]) if plane >= 0 else (
-            self._left[node], self._right[node])
-        self._search(near, point, k, heap)
-        # The far side can still hold an equal-distance point with a smaller
-        # index, so prune only on strict inequality.
-        if len(heap) < k or plane * plane <= -heap[0][0]:
-            self._search(far, point, k, heap)
+        # The tree returns an arbitrary subset of the points tied at the k-th
+        # distance, so gather every point within it (with slack for the tree's
+        # own rounding) and rank them by exact squared distance, then index.
+        (kth,), _ = self._tree.query(point, [k])
+        cand = np.asarray(self._tree.query_ball_point(point, kth * _RADIUS_SLACK), dtype=np.intp)
+        diff = self.points[cand] - point
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        return cand[np.lexsort((cand, d2))[:k]]
 
 
-def build_index(X: np.ndarray, leaf_size: int = _LEAF_SIZE) -> SpatialIndex:
-    """Build the k-d tree over the rows of X."""
-    return SpatialIndex(X, leaf_size=leaf_size)
+def build_index(X: np.ndarray) -> SpatialIndex:
+    """Build the exact nearest-neighbor index over the rows of X."""
+    return SpatialIndex(X)
 
 
 def uniform_minibatch(n: int, m: int, rng: np.random.Generator) -> Minibatch:

@@ -104,6 +104,19 @@ def test_fit_usage_errors(tmp_path):
     assert run(["fit", "--out", tmp_path / "bad2", "--set", "data=/nonexistent.csv"]) == 2
 
 
+def test_out_of_range_sizes_exit_two(tmp_path, capsys):
+    data = simulate_small(tmp_path, n=200)
+    csv = data / "dataset.csv"
+    predict = ["predict", "--out", tmp_path / "bad", "--set", f"train={csv}",
+               "--set", f"test={csv}", "--set", "strategy=nearest"]
+    for value in ["500", "0", "abc"]:
+        assert run(predict + ["--set", f"n_neighbors={value}"]) == 2
+        assert "n_neighbors" in capsys.readouterr().err
+    assert run(["fit", "--out", tmp_path / "bad", "--set", f"data={csv}",
+                "--set", "m=500", "--set", "sampling=nearby"]) == 2
+    assert "m must be in [1, 200]" in capsys.readouterr().err
+
+
 def test_predict_reports_rmse(tmp_path, capsys):
     train = simulate_small(tmp_path, "train", n=80, seed=1)
     test = simulate_small(tmp_path, "test", n=20, seed=2)

@@ -83,23 +83,47 @@ def test_index_grid_matches_brute_force():
 
 def test_index_duplicates_tie_break_by_lowest_index():
     X = np.array([[0.0], [1.0], [1.0], [1.0], [2.0]])
-    index = build_index(X, leaf_size=1)
+    index = build_index(X)
     # querying at the duplicated coordinate: all three ties come first, by index
     assert list(index.query(np.array([1.0]), 4)) == [1, 2, 3, 0]
+    # ties exactly at the k-th distance: 0 and 4 are both at distance 1
+    assert list(index.query(np.array([1.0]), 4)) == brute_force_knn(X, np.array([1.0]), 4)
+    assert list(index.query(np.array([1.0]), 2)) == [1, 2]
+    # a query point equidistant from every row
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
+    for k in range(1, 6):
+        assert list(build_index(X).query(np.zeros(2), k)) == list(range(k))
+
+
+def _duplicate_heavy(rng, n, dim):
+    """Rows rounded to one decimal on a narrow range, plus repeated rows, so
+    many points tie at the k-th distance."""
+    X = np.round(rng.uniform(-0.5, 0.5, size=(n, dim)), 1)
+    for _ in range(n // 4):
+        X[int(rng.integers(n))] = X[int(rng.integers(n))]
+    return X
 
 
 def test_index_matches_brute_force_randomized():
     rng = component_rng(5, "kd-prop")
-    for _ in range(100):
+    for rep in range(100):
         n = int(rng.integers(2, 500))
         dim = int(rng.integers(1, 11))
-        X = rng.normal(size=(n, dim))
+        X = _duplicate_heavy(rng, n, dim) if rep % 2 else rng.normal(size=(n, dim))
         if n > 4:
             X[int(rng.integers(n))] = X[int(rng.integers(n))]
-        index = build_index(X, leaf_size=int(rng.integers(1, 40)))
-        point = rng.normal(size=dim)
-        k = int(rng.integers(1, n + 1))
-        assert list(index.query(point, k)) == brute_force_knn(X, point, k)
+        index = build_index(X)
+        for point in [np.round(rng.normal(size=dim), 1), X[int(rng.integers(n))]]:
+            k = int(rng.integers(1, n + 1))
+            assert list(index.query(point, k)) == brute_force_knn(X, point, k)
+
+
+def test_index_rejects_non_finite_coordinates():
+    for bad in [np.nan, np.inf, -np.inf]:
+        X = RNG.normal(size=(5, 2))
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            build_index(X)
 
 
 def test_index_rejects_bad_queries():
@@ -133,6 +157,15 @@ def test_nearby_hand_checked_line():
     # neighbors of 5 at distance 1 are {4, 6}; the tie goes to index 4
     assert batch.indices == (5, 4, 6)
     assert batch.center_index == 5
+
+
+def test_nearby_center_duplicate_with_smaller_index():
+    # rows 1 and 4 coincide; drawn from 4, the batch keeps 4 as its center and
+    # takes its duplicate 1 first, then the tie at distance 1 goes to 0 over 2
+    X = np.array([[0.0], [1.0], [2.0], [5.0], [1.0], [9.0]])
+    batch = nearby_minibatch(build_index(X), 6, 3, _FixedCenter(4))
+    assert batch.indices == (4, 1, 0)
+    assert batch.center_index == 4
 
 
 def test_nearby_matches_brute_force():
