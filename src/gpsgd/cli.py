@@ -228,12 +228,17 @@ def _build_kernels(cfg: dict) -> MultiKernel:
         raise ConfigError(f"bad kernel config: {exc}") from None
 
 
-def _int_in_range(cfg: dict, key: str, hi: int) -> int:
-    """cfg[key] as an integer in [1, hi], else a ConfigError naming the key."""
+def _int(key: str, raw) -> int:
+    """`raw` as an integer, else a ConfigError naming the key."""
     try:
-        value = int(cfg[key])
+        return int(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _int_in_range(key: str, raw, hi: int) -> int:
+    """`raw` as an integer in [1, hi], else a ConfigError naming the key."""
+    value = _int(key, raw)
     if not 1 <= value <= hi:
         raise ConfigError(f"{key} must be in [1, {hi}], got {value}")
     return value
@@ -253,6 +258,10 @@ def _build_theta(cfg: dict, kernels: MultiKernel, signal_key: str, noise_key: st
     signal = cfg[signal_key]
     if np.isscalar(signal):
         signal = [signal]
+    if len(signal) != kernels.n_kernels:
+        raise ConfigError(
+            f"{signal_key} has {len(signal)} entries for {kernels.n_kernels} kernels"
+        )
     try:
         return HyperParams(tuple(float(v) for v in signal), float(cfg[noise_key]), lengthscales)
     except ValueError as exc:
@@ -282,9 +291,9 @@ def _build_sgd_config(cfg: dict, kernels: MultiKernel, seed: int) -> SGDConfig:
         epochs = None
     try:
         return SGDConfig(
-            m=int(cfg["m"]),
-            iterations=None if iterations is None else int(iterations),
-            epochs=None if epochs is None else int(epochs),
+            m=_int("m", cfg["m"]),
+            iterations=None if iterations is None else _int("iterations", iterations),
+            epochs=None if epochs is None else _int("epochs", epochs),
             alpha1=float(cfg["alpha1"]) if cfg.get("alpha1") is not None else 1.0,
             learning_rate=float(cfg.get("learning_rate", 0.01)),
             scheme=scheme,
@@ -292,7 +301,7 @@ def _build_sgd_config(cfg: dict, kernels: MultiKernel, seed: int) -> SGDConfig:
             clamp=clamp,
             clip=None if cfg["clip"] is None else float(cfg["clip"]),
             seed=seed,
-            grad_norm_every=int(cfg.get("grad_norm_every", 0)),
+            grad_norm_every=_int("grad_norm_every", cfg.get("grad_norm_every", 0)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -360,7 +369,7 @@ def cmd_fit(cfg: dict, out: Path) -> dict:
     theta0 = _build_theta(cfg, kernels, "theta0_signal", "theta0_noise")
     if optimizer not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    _int_in_range(cfg, "m", dataset.n)
+    _int_in_range("m", cfg["m"], dataset.n)
     if optimizer == "sgd":
         trace = sgd_fit(dataset, kernels, run_cfg, theta0)
     else:
@@ -402,7 +411,7 @@ def cmd_predict(cfg: dict, out: Path) -> dict:
 
     strategy = cfg["strategy"]
     if strategy == "nearest":
-        n_neighbors = _int_in_range(cfg, "n_neighbors", train.n)
+        n_neighbors = _int_in_range("n_neighbors", cfg["n_neighbors"], train.n)
         result = predict_nn(theta, kernels, train.X, train.y, test.X,
                             n_neighbors, build_index(train.X))
     else:
@@ -562,8 +571,8 @@ def _run_grad_convergence_rep(payload: tuple) -> tuple:
     theta0 = HyperParams(tuple(float(v) for v in cfg["theta0_signal"]),
                          float(cfg["theta0_noise"]))
     trace = sgd_fit(dataset, kernels, run_cfg, theta0)
-    iters = np.array([rec.iteration for rec in trace.records if rec.grad_norm_sq is not None])
-    norms = np.array([rec.grad_norm_sq for rec in trace.records if rec.grad_norm_sq is not None])
+    iters = np.flatnonzero(trace.grad_norm_recorded)
+    norms = trace.grad_norm_sq[iters]
     return (m, rep, iters, norms, trace.theta_history(), trace.param_names,
             trace.clamp_events, trace.clip_events)
 
@@ -679,6 +688,13 @@ def cmd_experiment(cfg: dict, out: Path, jobs: int) -> dict:
     study = cfg["study"]
     if study not in STUDIES:
         raise ConfigError(f"unknown study {study!r}; choose from {list(STUDIES)}")
+    # Batch sizes are checked here, before any repetition runs.
+    if study == "param-convergence":
+        _int_in_range("m", cfg["m"], _int("n", cfg["n"]))
+    elif study in ("vary-m", "grad-convergence"):
+        n = _int("n", cfg["n"])
+        for m in cfg["m_grid"]:
+            _int_in_range("m_grid", m, n)
 
     def pool(fn, tasks):
         if jobs <= 1 or len(tasks) <= 1:

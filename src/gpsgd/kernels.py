@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -278,16 +279,20 @@ def _scaled_sq_dists(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     return _pairwise_sq_dists(Z, Z)
 
 
-def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """Base kernel matrix over the rows of X: symmetric, unit diagonal, PSD."""
-    X = _check_inputs(spec, X)
-    sq = _scaled_sq_dists(spec, X)
+def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Base kernel matrix from the output of `_scaled_sq_dists`."""
     if spec.family == KernelFamily.RBF:
         K = np.exp(-0.5 * sq)
     else:
         K = _matern_profile(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
     np.fill_diagonal(K, 1.0)
     return K
+
+
+def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """Base kernel matrix over the rows of X: symmetric, unit diagonal, PSD."""
+    X = _check_inputs(spec, X)
+    return _kernel_from_sq(spec, _scaled_sq_dists(spec, X))
 
 
 def cross_kernel_matrix(spec: KernelSpec, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -342,6 +347,48 @@ def marginal_covariance(kernels: MultiKernel, theta: HyperParams, X: np.ndarray)
     return K
 
 
+def covariance_and_grads(
+    kernels: MultiKernel, theta: HyperParams, X: np.ndarray
+) -> tuple[np.ndarray, Iterator[np.ndarray | None]]:
+    """K(theta) over the rows of X and, lazily, dK/dtheta_l for every flat
+    slot in HyperParams.to_vector() order.
+
+    The iterator yields the base matrix K_c for each signal slot, then None
+    for the noise slot (whose derivative is the identity), then one matrix
+    per lengthscale slot. Each base matrix and pairwise distance matrix is
+    computed once and shared by K and the derivatives; derivative matrices
+    are built one at a time, so no (n, n, slots) array exists. K equals
+    `marginal_covariance` bit for bit; each derivative equals
+    `kernel_matrix_grad` for its slot.
+    """
+    _check_theta(kernels, theta)
+    eff = effective_kernels(kernels, theta)
+    X = _check_inputs(eff.components[0], X)
+    n = X.shape[0]
+    learn = theta.lengthscales is not None
+    bases, dists = [], []
+    for spec in eff.components:
+        sq = _scaled_sq_dists(spec, X)
+        bases.append(_kernel_from_sq(spec, sq))
+        # Only the Matern d/dh needs the distances again; RBF reuses K_c.
+        dists.append(sq if learn and spec.family == KernelFamily.MATERN else None)
+    K = np.zeros((n, n))
+    for variance, base in zip(theta.signal_variances, bases):
+        K += variance * base
+    K[np.diag_indices(n)] += theta.noise_variance
+
+    def slots() -> Iterator[np.ndarray | None]:
+        yield from bases
+        yield None
+        if learn:
+            for c, d in kernels.lengthscale_slots():
+                spec = eff.components[c]
+                yield theta.signal_variances[c] * _lengthscale_grad_from(
+                    spec, X, d, bases[c], dists[c])
+
+    return K, slots()
+
+
 def kernel_matrix_grad(
     kernels: MultiKernel, theta: HyperParams, X: np.ndarray, param_index: int
 ) -> np.ndarray:
@@ -380,4 +427,15 @@ def base_lengthscale_grad(spec: KernelSpec, X: np.ndarray, dim: int) -> np.ndarr
         diff = X[:, None, dim] - X[None, :, dim]
         return kernel_matrix(spec, X) * diff**2 / l**3
     sq = _scaled_sq_dists(spec, X)
+    return _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
+
+
+def _lengthscale_grad_from(spec: KernelSpec, X: np.ndarray, dim: int, base: np.ndarray,
+                           sq: np.ndarray | None) -> np.ndarray:
+    """`base_lengthscale_grad` from an already built base matrix (RBF) or
+    squared-distance matrix (Matern), with the same floating-point steps."""
+    if spec.family == KernelFamily.RBF:
+        l = spec.lengthscales[dim]
+        diff = X[:, None, dim] - X[None, :, dim]
+        return base * diff**2 / l**3
     return _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])

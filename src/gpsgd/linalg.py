@@ -1,8 +1,17 @@
-"""Dense symmetric linear algebra: Cholesky, solves, log-determinant,
-eigenvalues, and a conjugate-gradient solver.
+"""Dense symmetric linear algebra: Cholesky, inverse, solves,
+log-determinant, eigenvalues, and a conjugate-gradient solver.
 
 Everything here operates on plain float64 numpy arrays. Factorizations are
 deterministic; no randomized methods.
+
+Every factorization, solve and eigensolve calls scipy's LAPACK, never
+numpy.linalg. numpy and scipy each load their own OpenBLAS with its own
+thread pool, and a call on one pool right after a threaded call on the other
+waits for the first pool's threads to go idle: on a 2-core host with 2-thread
+OpenBLAS, `np.linalg.cholesky` followed by `scipy.linalg.solve_triangular`
+at m=128 took 8.0 ms, against 0.39 ms with both calls on scipy. So callers on
+a hot path keep every matrix product that is large enough to be threaded on
+scipy's BLAS too (see the CG matvec and the predictive mean in prediction).
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 
 class NotPositiveDefiniteError(Exception):
@@ -69,13 +79,34 @@ def cholesky(K: np.ndarray) -> CholeskyFactor:
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
+    finite = np.isfinite(K)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        raise NotPositiveDefiniteError(
+            f"{K.shape[0]}x{K.shape[0]} matrix has {bad.shape[0]} non-finite entries, "
+            f"the first at {tuple(int(i) for i in bad[0])}"
+        )
     try:
-        lower = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
+        lower = scipy.linalg.cholesky(K, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky failed for {K.shape[0]}x{K.shape[0]} matrix: {exc}"
         ) from None
     return CholeskyFactor(lower=lower)
+
+
+def inverse(factor: CholeskyFactor) -> np.ndarray:
+    """K^-1 from the Cholesky factor of K (LAPACK potri), exactly symmetric."""
+    inv, info = scipy.linalg.lapack.dpotri(factor.lower, lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"potri failed with info={info}")
+    # potri writes the lower triangle and keeps L's strict upper one, which
+    # is zero, so adding the transposed strict lower triangle mirrors it.
+    inv += np.tril(inv, -1).T
+    # The result is Fortran-ordered and symmetric: its transpose is the same
+    # matrix in C order, which elementwise products with C-ordered matrices
+    # traverse several times faster.
+    return inv.T
 
 
 def solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
@@ -107,7 +138,13 @@ def sym_eigenvalues(K: np.ndarray, max_size: int = DEFAULT_EIG_SIZE_CAP) -> Eige
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
     if K.shape[0] > max_size:
         raise ValueError(f"matrix size {K.shape[0]} exceeds eigenvalue cap {max_size}")
-    values = np.linalg.eigvalsh(K)
+    lwork, liwork, info = scipy.linalg.lapack.dsyevd_lwork(K.shape[0], compute_v=0, lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevd workspace query failed with info={info}")
+    values, _, info = scipy.linalg.lapack.dsyevd(K, compute_v=0, lower=1,
+                                                 lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalues did not converge (dsyevd info={info})")
     return EigenSpectrum(values=values[::-1].copy())
 
 

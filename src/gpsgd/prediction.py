@@ -7,6 +7,10 @@ with k(., .) = sum_l theta_l k_l(., .) and K the marginal covariance of the
 training responses (noise included). Three strategies: exact Cholesky,
 conjugate gradient for large n, and a nearest-neighbor-truncated variant that
 conditions each test point on its n_neighbors closest training points.
+
+Products with the n x n covariance and the n x t cross-covariance go through
+scipy's BLAS, like the factorizations in linalg, so that consecutive stages
+run on one BLAS thread pool (see the linalg docstring).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.blas import dgemv, dsymv
 
 from .kernels import HyperParams, MultiKernel, cross_kernel_matrix, effective_kernels, marginal_covariance
 from .linalg import cg_solve, cholesky, solve
@@ -87,7 +92,9 @@ def predict(
         V = solve(factor, k_star)
         iterations = None
     elif strategy == PredictStrategy.CG:
-        matvec = lambda v: K @ v
+        # dsymv reads one triangle of K; K.T is the same buffer in Fortran
+        # order, so nothing is copied (dsymv on the C-ordered K copies it).
+        matvec = lambda v: dsymv(1.0, K.T, v)
         iterations = []
         res = cg_solve(matvec, y_train, tol=cg_tol, max_iter=cg_max_iter)
         _require_converged(res)
@@ -102,7 +109,7 @@ def predict(
     else:
         raise ValueError("use predict_nn for nearest-neighbor prediction")
 
-    mean = k_star.T @ alpha
+    mean = dgemv(1.0, k_star.T, alpha)
     variance = np.maximum(prior_var - np.einsum("ij,ij->j", k_star, V), 0.0)
     cross = None
     if return_cov:

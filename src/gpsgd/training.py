@@ -18,7 +18,9 @@ variance + lengthscale estimation.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,11 +31,11 @@ from .data import Dataset
 from .kernels import (
     HyperParams,
     MultiKernel,
-    kernel_matrix_grad,
+    covariance_and_grads,
     marginal_covariance,
     param_names,
 )
-from .linalg import NotPositiveDefiniteError, cholesky, log_det, solve, two_sided_solve
+from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
 from .sampling import Minibatch, SamplingScheme, SpatialIndex, build_index, draw_minibatch
 from .seeds import iteration_rng
 
@@ -155,11 +157,52 @@ class TraceRecord:
     elapsed: float
 
 
+class _Records(Sequence):
+    """Read-only view of a FitTrace as one TraceRecord per iteration, each
+    built on access. Supports indexing (negative too), slicing (a list),
+    iteration and len()."""
+
+    def __init__(self, trace: "FitTrace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.step_size.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"record {index} out of range for {len(self)} records")
+        t = self._trace
+        return TraceRecord(
+            iteration=k,
+            theta=t.theta[k],
+            step_size=float(t.step_size[k]),
+            gradient=None if k == 0 else t.gradient[k],
+            grad_norm_sq=float(t.grad_norm_sq[k]) if t.grad_norm_recorded[k] else None,
+            elapsed=float(t.elapsed[k]),
+        )
+
+
 @dataclass
 class FitTrace:
-    """Per-iteration optimizer history, including the starting point."""
+    """Per-iteration optimizer history, including the starting point.
 
-    records: list[TraceRecord]
+    Row k of each array is iteration k. Row 0 of `gradient` is NaN (no
+    gradient is taken at the start); `grad_norm_sq` is meaningful only
+    where `grad_norm_recorded` is set; `elapsed` is seconds since the fit
+    started.
+    """
+
+    theta: np.ndarray               # (iterations + 1, params)
+    gradient: np.ndarray            # (iterations + 1, params)
+    step_size: np.ndarray           # (iterations + 1,)
+    grad_norm_sq: np.ndarray        # (iterations + 1,)
+    grad_norm_recorded: np.ndarray  # (iterations + 1,) bool
+    elapsed: np.ndarray             # (iterations + 1,)
     param_names: list[str]
     n_kernels: int
     has_lengthscales: bool
@@ -167,17 +210,19 @@ class FitTrace:
     clip_events: int = 0
 
     @property
+    def records(self) -> Sequence[TraceRecord]:
+        return _Records(self)
+
+    @property
     def iterations(self) -> int:
-        return len(self.records) - 1
+        return self.step_size.shape[0] - 1
 
     @property
     def final_theta(self) -> HyperParams:
-        return HyperParams.from_vector(
-            self.records[-1].theta, self.n_kernels, self.has_lengthscales
-        )
+        return HyperParams.from_vector(self.theta[-1], self.n_kernels, self.has_lengthscales)
 
     def theta_history(self) -> np.ndarray:
-        return np.vstack([rec.theta for rec in self.records])
+        return self.theta.copy()
 
     def to_csv(self, path: str | Path, include_timing: bool = True) -> None:
         """One row per iteration, full-precision floats.
@@ -186,20 +231,21 @@ class FitTrace:
         same seed produce byte-identical files.
         """
         path = Path(path)
-        has_grad_norm = any(rec.grad_norm_sq is not None for rec in self.records)
+        has_grad_norm = bool(self.grad_norm_recorded.any())
         header = ["iter", "alpha"] + list(self.param_names)
         if has_grad_norm:
             header.append("grad_norm_sq")
         if include_timing:
             header.append("elapsed_ms")
         lines = [",".join(header)]
-        for rec in self.records:
-            row = [str(rec.iteration), repr(float(rec.step_size))]
-            row += [repr(float(v)) for v in rec.theta]
+        columns = zip(self.step_size.tolist(), self.theta.tolist(), self.grad_norm_sq.tolist(),
+                      self.grad_norm_recorded.tolist(), self.elapsed.tolist())
+        for k, (step, theta, norm_sq, recorded, elapsed) in enumerate(columns):
+            row = [str(k), repr(step)] + [repr(v) for v in theta]
             if has_grad_norm:
-                row.append("" if rec.grad_norm_sq is None else repr(float(rec.grad_norm_sq)))
+                row.append(repr(norm_sq) if recorded else "")
             if include_timing:
-                row.append(repr(rec.elapsed * 1000.0))
+                row.append(repr(elapsed * 1000.0))
             lines.append(",".join(row))
         path.write_text("\n".join(lines) + "\n")
 
@@ -229,17 +275,23 @@ def _gradient_core(
     y: np.ndarray,
     divisors: np.ndarray,
 ) -> np.ndarray:
-    """Gradient slots (tr[K^-1 dK] - (K^-1 y)^T dK (K^-1 y)) / (2 s_l), from
-    one Cholesky of the covariance."""
-    K = marginal_covariance(kernels, theta, X)
+    """Gradient slots <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) with a = K^-1 y,
+    from one Cholesky and one inverse of the covariance.
+
+    The Frobenius products are `einsum` loops rather than BLAS calls, so the
+    whole pass stays on scipy's BLAS pool (see the linalg docstring); the
+    noise slot, whose derivative is I, is the trace.
+    """
+    K, slots = covariance_and_grads(kernels, theta, X)
     factor = cholesky(K)
+    del K  # full_gradient runs this at n in the thousands: free K before the inverse
     alpha = solve(factor, y)
+    W = inverse(factor)
+    W -= np.outer(alpha, alpha)
     grad = np.empty(theta.n_params)
-    for l in range(theta.n_params):
-        D = kernel_matrix_grad(kernels, theta, X, l)
-        trace_term = float(np.trace(two_sided_solve(factor, D)))
-        quad_term = float(alpha @ (D @ alpha))
-        grad[l] = (trace_term - quad_term) / (2.0 * divisors[l])
+    for l, D in enumerate(slots):
+        inner = np.trace(W) if D is None else np.einsum("ab,ab->", W, D)
+        grad[l] = inner / (2.0 * divisors[l])
     return grad
 
 
@@ -275,24 +327,6 @@ def stochastic_gradient(
     return _gradient_core(theta, kernels, X2, y[idx], divisors)
 
 
-def _record(
-    k: int,
-    theta_vec: np.ndarray,
-    step: float,
-    grad: np.ndarray | None,
-    grad_norm_sq: float | None,
-    start: float,
-) -> TraceRecord:
-    return TraceRecord(
-        iteration=k,
-        theta=theta_vec.copy(),
-        step_size=step,
-        gradient=None if grad is None else grad.copy(),
-        grad_norm_sq=grad_norm_sq,
-        elapsed=time.perf_counter() - start,
-    )
-
-
 class _FitLoop:
     """Shared bookkeeping for both optimizers: batch drawing, clipping,
     clamping, trace recording, and failure wrapping."""
@@ -316,19 +350,45 @@ class _FitLoop:
         self.index: SpatialIndex | None = (
             build_index(self.X) if config.scheme == SamplingScheme.NEARBY else None
         )
+        rows, params = self.iterations + 1, theta0.n_params
+        self.theta = np.empty((rows, params))
+        self.gradient = np.full((rows, params), np.nan)
+        self.step_size = np.empty(rows)
+        self.norm_sq = np.zeros(rows)
+        self.grad_norm_recorded = np.zeros(rows, dtype=bool)
+        self.elapsed = np.empty(rows)
+        self.recorded = 0
         self.start = time.perf_counter()
-        self.records: list[TraceRecord] = []
         self.clamp_events = 0
         self.clip_events = 0
         # Fail fast on inconsistent scaling before iterating.
         self.scaling.divisors(config.m, self.n_kernels,
                               0 if not self.has_lengthscales else len(theta0.lengthscales))
 
+    def record(self, k: int, theta_vec: np.ndarray, step: float, grad: np.ndarray | None) -> None:
+        """Store row k: the iterate after step k, its step size and gradient,
+        the full-gradient norm when due, and the time since the start."""
+        self.theta[k] = theta_vec
+        self.step_size[k] = step
+        if grad is not None:
+            self.gradient[k] = grad
+        norm_sq = self.grad_norm_sq(k, theta_vec)
+        if norm_sq is not None:
+            self.norm_sq[k] = norm_sq
+            self.grad_norm_recorded[k] = True
+        self.elapsed[k] = time.perf_counter() - self.start
+        self.recorded = k + 1
+
     def trace(self) -> FitTrace:
-        names = param_names(self.kernels, HyperParams.from_vector(
-            self.records[0].theta, self.n_kernels, self.has_lengthscales))
+        """The rows recorded so far, as read-only views."""
+        columns = [a[:self.recorded] for a in (self.theta, self.gradient, self.step_size,
+                                               self.norm_sq, self.grad_norm_recorded,
+                                               self.elapsed)]
+        for a in columns:
+            a.flags.writeable = False
+        names = param_names(self.kernels, self.theta_of(self.theta[0]))
         return FitTrace(
-            records=self.records,
+            *columns,
             param_names=names,
             n_kernels=self.n_kernels,
             has_lengthscales=self.has_lengthscales,
@@ -396,17 +456,13 @@ def sgd_fit(
     """
     loop = _FitLoop(dataset, kernels, config, theta0)
     theta_vec = theta0.to_vector()
-    loop.records.append(
-        _record(0, theta_vec, 0.0, None, loop.grad_norm_sq(0, theta_vec), loop.start)
-    )
+    loop.record(0, theta_vec, 0.0, None)
     for k in range(1, loop.iterations + 1):
         grad = loop.batch_gradient(k, theta_vec)
         alpha_k = config.alpha1 / k
         theta_vec = theta_vec - alpha_k * grad
         theta_vec = loop.enforce_bounds(k, theta_vec, lower_floor=None)
-        loop.records.append(
-            _record(k, theta_vec, alpha_k, grad, loop.grad_norm_sq(k, theta_vec), loop.start)
-        )
+        loop.record(k, theta_vec, alpha_k, grad)
     return loop.trace()
 
 
@@ -439,9 +495,7 @@ def adam_fit(
     m_state = np.zeros_like(theta_vec)
     v_state = np.zeros_like(theta_vec)
     floor = DEFAULT_CLAMP_BOUNDS[0]
-    loop.records.append(
-        _record(0, theta_vec, 0.0, None, loop.grad_norm_sq(0, theta_vec), loop.start)
-    )
+    loop.record(0, theta_vec, 0.0, None)
     for k in range(1, loop.iterations + 1):
         grad = loop.batch_gradient(k, theta_vec)
         grad = np.where(active, grad, 0.0)
@@ -452,8 +506,5 @@ def adam_fit(
         step = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         theta_vec = theta_vec - np.where(active, step, 0.0)
         theta_vec = loop.enforce_bounds(k, theta_vec, lower_floor=floor)
-        loop.records.append(
-            _record(k, theta_vec, config.learning_rate, grad,
-                    loop.grad_norm_sq(k, theta_vec), loop.start)
-        )
+        loop.record(k, theta_vec, config.learning_rate, grad)
     return loop.trace()

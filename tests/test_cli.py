@@ -117,6 +117,30 @@ def test_out_of_range_sizes_exit_two(tmp_path, capsys):
     assert "m must be in [1, 200]" in capsys.readouterr().err
 
 
+def test_theta_length_must_match_kernel_count(tmp_path, capsys):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    assert run(["fit", "--out", tmp_path / "bad", "--set", f"data={csv}",
+                "--set", "theta0_signal=[1,2]"]) == 2
+    assert "theta0_signal has 2 entries for 1 kernels" in capsys.readouterr().err
+    assert run(["predict", "--out", tmp_path / "bad", "--set", f"train={csv}",
+                "--set", f"test={csv}", "--set", "theta_signal=[1,2]"]) == 2
+    assert "theta_signal has 2 entries for 1 kernels" in capsys.readouterr().err
+
+
+def test_batch_sizes_checked_before_work(tmp_path, capsys):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    assert run(["fit", "--out", tmp_path / "bad", "--set", f"data={csv}",
+                "--set", "m=abc"]) == 2
+    assert "m must be an integer, got 'abc'" in capsys.readouterr().err
+    experiment = ["experiment", "--out", tmp_path / "x", "--seed", 1, "--set", "n=64"]
+    for study, key, value in [("vary-m", "m_grid", "[16,100]"),
+                              ("grad-convergence", "m_grid", "[0]"),
+                              ("param-convergence", "m", "100")]:
+        assert run(experiment + ["--set", f"study={study}", "--set", f"{key}={value}"]) == 2
+        assert f"{key} must be in [1, 64]" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("*.csv"))
+
+
 def test_predict_reports_rmse(tmp_path, capsys):
     train = simulate_small(tmp_path, "train", n=80, seed=1)
     test = simulate_small(tmp_path, "test", n=20, seed=2)

@@ -10,6 +10,7 @@ from gpsgd.linalg import (
     NotPositiveDefiniteError,
     cg_solve,
     cholesky,
+    inverse,
     log_det,
     solve,
     sym_eigenvalues,
@@ -43,6 +44,22 @@ def test_cholesky_reconstruction():
 def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cholesky_rejects_non_finite(bad):
+    A = random_spd(6)
+    A[4, 1] = A[1, 4] = bad
+    with pytest.raises(NotPositiveDefiniteError, match=r"2 non-finite entries, the first at \(1, 4\)"):
+        cholesky(A)
+
+
+def test_inverse_of_factor():
+    for n in (1, 7, 64):
+        A = random_spd(n)
+        inv = inverse(cholesky(A))
+        assert np.array_equal(inv, inv.T)
+        assert np.max(np.abs(A @ inv - np.eye(n))) < 1e-12
 
 
 def test_solve_identity_and_scalar():
@@ -113,6 +130,14 @@ def test_sym_eigenvalues_trace_consistency():
     spectrum = sym_eigenvalues(A)
     assert spectrum.values.sum() == pytest.approx(np.trace(A), rel=1e-8, abs=1e-8)
     assert np.all(np.diff(spectrum.values) <= 0)
+
+
+def test_sym_eigenvalues_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 16, 57, 128):
+        A = rng.normal(size=(n, n))
+        for M in ((A + A.T) / 2, A @ A.T):
+            assert np.array_equal(sym_eigenvalues(M).values, np.linalg.eigvalsh(M)[::-1])
 
 
 def test_sym_eigenvalues_size_cap():

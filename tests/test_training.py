@@ -23,7 +23,8 @@ from gpsgd import (
     simulate_gp,
     stochastic_gradient,
 )
-from gpsgd.kernels import marginal_covariance
+from gpsgd.kernels import kernel_matrix_grad, marginal_covariance
+from gpsgd.linalg import cholesky, solve, two_sided_solve
 from gpsgd.training import ADAM_EPS, LOG_2PI
 
 MK = MultiKernel.single(KernelSpec.rbf(0.5))
@@ -98,6 +99,38 @@ def test_gradient_with_lengthscales_matches_finite_differences():
     assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)) < 1e-5
 
 
+ORACLE_CASES = [
+    ("rbf-1d", MK, HyperParams((2.5,), 1.2), 1),
+    ("rbf-4d-lengthscales", MultiKernel.single(KernelSpec.rbf((0.5, 1.0, 2.0, 0.7))),
+     HyperParams((2.0,), 0.5, (0.6, 1.1, 1.8, 0.9)), 4),
+    *[(f"matern-{order}-h", MultiKernel.single(KernelSpec.matern(order, 0.8)),
+       HyperParams((2.0,), 0.5, (1.3,)), 1) for order in (0.5, 1.5, 2.5)],
+    ("two-kernel-sum", MultiKernel((KernelSpec.rbf(0.5), KernelSpec.matern(2.5, 2.0))),
+     HyperParams((2.0, 1.0), 0.5), 1),
+]
+
+
+@pytest.mark.parametrize("name,kernels,theta,dim", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+@pytest.mark.parametrize("scaling", ["linear", "log"])
+def test_gradients_match_per_slot_oracle(name, kernels, theta, dim, scaling):
+    rng = np.random.default_rng(31)
+    n, m = 150, 40
+    X = rng.normal(0.0, 2.0, size=(n, dim))
+    y = rng.normal(size=n)
+    idx = np.sort(rng.choice(n, size=m, replace=False))
+    batch = Minibatch(tuple(int(i) for i in idx), SamplingScheme.UNIFORM)
+    policy = (ScalingPolicy.linear(theta.n_kernels) if scaling == "linear"
+              else ScalingPolicy.log_signal(theta.n_kernels))
+    n_ls = 0 if theta.lengthscales is None else len(theta.lengthscales)
+    divisors = policy.divisors(m, theta.n_kernels, n_ls)
+    sg = stochastic_gradient(theta, kernels, batch, X, y, policy)
+    assert np.allclose(sg, oracle_gradient(theta, kernels, X[idx], y[idx], divisors),
+                       rtol=1e-10, atol=0.0)
+    fg = full_gradient(theta, kernels, X, y)
+    assert np.allclose(fg, oracle_gradient(theta, kernels, X, y, np.full(theta.n_params, n)),
+                       rtol=1e-10, atol=0.0)
+
+
 def test_stochastic_gradient_full_batch_reduces_to_full_gradient():
     ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 60, Gaussian(5.0), 1, seed=7)
     theta = HyperParams((2.5,), 1.2)
@@ -147,6 +180,18 @@ def test_loss_scale_covariance():
     assert moved - base == pytest.approx(math.log(2.0), abs=1e-10)
 
 
+def oracle_gradient(theta, kernels, X, y, divisors):
+    """The per-slot route: tr[L^-1 dK L^-T] - a^T dK a for each slot's
+    derivative matrix, with a = K^-1 y."""
+    factor = cholesky(marginal_covariance(kernels, theta, X))
+    a = solve(factor, y)
+    grad = np.empty(theta.n_params)
+    for l in range(theta.n_params):
+        D = kernel_matrix_grad(kernels, theta, X, l)
+        grad[l] = (np.trace(two_sided_solve(factor, D)) - a @ (D @ a)) / (2.0 * divisors[l])
+    return grad
+
+
 def _dataset(n=96, seed=10):
     return simulate_gp(MK, HyperParams((4.0,), 1.0), n, Gaussian(5.0), 1, seed=seed)
 
@@ -182,6 +227,27 @@ def test_sgd_trace_contract():
     assert trace.records[0].step_size == 0.0
 
 
+def test_trace_records_view():
+    config = SGDConfig(m=16, iterations=5, alpha1=1.5, seed=12, grad_norm_every=2)
+    trace = sgd_fit(_dataset(), MK, config, HyperParams((3.0,), 2.0))
+    records = trace.records
+    assert len(records) == 6
+    assert records[0].gradient is None and records[0].grad_norm_sq == trace.grad_norm_sq[0]
+    assert records[1].grad_norm_sq is None
+    assert records[3].iteration == 3 and records[3].step_size == 0.5
+    assert np.array_equal(records[3].gradient, trace.gradient[3])
+    assert records[-1].iteration == 5 and records[-6].iteration == 0
+    assert np.array_equal(records[-1].theta, trace.final_theta.to_vector())
+    assert [rec.iteration for rec in records[1:5:2]] == [1, 3]
+    assert [rec.iteration for rec in records] == list(range(6))
+    assert np.array_equal(np.vstack([rec.theta for rec in records]), trace.theta_history())
+    for bad in (6, -7):
+        with pytest.raises(IndexError):
+            records[bad]
+    with pytest.raises(ValueError):
+        records[0].theta[0] = 1.0     # the trace is read-only
+
+
 def test_sgd_deterministic_given_seed():
     config = SGDConfig(m=8, epochs=2, alpha1=1.0, seed=13,
                        scheme=SamplingScheme.NEARBY)
@@ -200,6 +266,33 @@ def test_sgd_diverges_without_clamp():
     config = SGDConfig(m=32, iterations=3, alpha1=1e4, seed=16)
     with pytest.raises(FitDivergedError, match="iteration 1"):
         sgd_fit(ds, MK, config, HyperParams((8.0,), 4.0))
+
+
+def test_diverged_fit_trace_holds_rows_so_far():
+    # a covariance that overflows to inf at the first batch is reported with
+    # its iteration, and the trace holds only the starting row
+    ds = _dataset(n=32, seed=15)
+    config = SGDConfig(m=8, iterations=3, alpha1=1.0, seed=16)
+    with np.errstate(over="ignore"), pytest.raises(
+            FitDivergedError, match="not positive definite at iteration 1") as info:
+        sgd_fit(ds, MK, config, HyperParams((1e308,), 1e308))
+    trace = info.value.trace
+    assert trace.iterations == 0 and len(trace.records) == 1
+    assert np.array_equal(trace.theta_history(), [[1e308, 1e308]])
+
+
+def test_diverged_fit_trace_holds_completed_iterations():
+    ds = _dataset(n=32, seed=15)
+    config = SGDConfig(m=16, iterations=40, alpha1=100.0, seed=16)
+    theta0 = HyperParams((8.0,), 4.0)
+    with pytest.raises(FitDivergedError, match="iteration 2") as info:
+        sgd_fit(ds, MK, config, theta0)
+    trace = info.value.trace
+    # iterations 0 and 1 completed; the iterate of iteration 2 left (0, inf)
+    assert trace.iterations == 1 and len(trace.records) == 2
+    full = sgd_fit(ds, MK, SGDConfig(m=16, iterations=1, alpha1=100.0, seed=16), theta0)
+    assert np.array_equal(trace.theta_history(), full.theta_history())
+    assert np.array_equal(trace.gradient, full.gradient, equal_nan=True)
 
 
 def test_sgd_clamp_counts_events():
