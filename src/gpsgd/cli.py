@@ -42,13 +42,14 @@ from .diagnostics import (
     gaussian_kernel_eigenvalues,
     surrogate_curvature,
 )
-from .kernels import HyperParams, KernelSpec, MultiKernel, kernel_matrix
+from .kernels import HyperParams, KernelFamily, KernelSpec, MultiKernel, kernel_matrix
 from .linalg import sym_eigenvalues
 from .prediction import PredictStrategy, predict, predict_nn, rmse
 from .sampling import SamplingScheme, build_index
 from .seeds import derived_seed
 from .training import (
     DEFAULT_CLAMP_BOUNDS,
+    MIN_LOG_SCALED_M,
     FitTrace,
     ScalingPolicy,
     SGDConfig,
@@ -236,12 +237,36 @@ def _int(key: str, raw) -> int:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
 
-def _int_in_range(key: str, raw, hi: int) -> int:
-    """`raw` as an integer in [1, hi], else a ConfigError naming the key."""
+def _int_in_range(key: str, raw, hi: int | None = None) -> int:
+    """`raw` as an integer in [1, hi] (or >= 1 without `hi`), else a
+    ConfigError naming the key."""
     value = _int(key, raw)
-    if not 1 <= value <= hi:
+    if hi is None and value < 1:
+        raise ConfigError(f"{key} must be a positive integer, got {value}")
+    if hi is not None and not 1 <= value <= hi:
         raise ConfigError(f"{key} must be in [1, {hi}], got {value}")
     return value
+
+
+def _batch_size(key: str, raw, n: int, scaling: str) -> int:
+    """A minibatch size from key `key`: in [1, n], and at least
+    MIN_LOG_SCALED_M when the signal slots are log-scaled."""
+    m = _int_in_range(key, raw, n)
+    if scaling == "log" and m < MIN_LOG_SCALED_M:
+        raise ConfigError(f"scaling=log requires {key} >= {MIN_LOG_SCALED_M}, got {m}")
+    return m
+
+
+def _input_dim(cfg: dict, kernels: MultiKernel | None) -> int:
+    """input_dim as a positive integer that matches the lengthscale count of
+    every RBF kernel (a Matern kernel takes any dimension)."""
+    dim = _int_in_range("input_dim", cfg["input_dim"])
+    for spec in () if kernels is None else kernels.components:
+        if spec.family == KernelFamily.RBF and spec.n_lengthscales != dim:
+            raise ConfigError(
+                f"input_dim is {dim} but an rbf kernel has {spec.n_lengthscales} lengthscales"
+            )
+    return dim
 
 
 def _build_input_dist(cfg: dict):
@@ -328,12 +353,12 @@ def _write_summary(out: Path, command: str, cfg: dict, started: float, extra: di
 
 def cmd_simulate(cfg: dict, out: Path) -> dict:
     input_dist = _build_input_dist(cfg)
-    n = int(cfg["n"])
-    dim = int(cfg["input_dim"])
+    n = _int_in_range("n", cfg["n"])
     seed = int(cfg["seed"])
     generator = cfg["generator"]
+    kernels = _build_kernels(cfg) if generator == "gp" else None
+    dim = _input_dim(cfg, kernels)
     if generator == "gp":
-        kernels = _build_kernels(cfg)
         theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
         dataset = simulate_gp(kernels, theta, n, input_dist, dim, seed)
     elif generator in BENCHMARK_FUNCTIONS:
@@ -369,7 +394,7 @@ def cmd_fit(cfg: dict, out: Path) -> dict:
     theta0 = _build_theta(cfg, kernels, "theta0_signal", "theta0_noise")
     if optimizer not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    _int_in_range("m", cfg["m"], dataset.n)
+    _batch_size("m", cfg["m"], dataset.n, cfg["scaling"])
     if optimizer == "sgd":
         trace = sgd_fit(dataset, kernels, run_cfg, theta0)
     else:
@@ -429,7 +454,11 @@ def cmd_predict(cfg: dict, out: Path) -> dict:
     _atomic_write(out / "predictions.csv", "\n".join(lines) + "\n")
     value = rmse(result.mean, test.y)
     print(f"rmse={value!r}")
-    return {"rmse": repr(value), "strategy": result.strategy.value, "rows": test.n}
+    extra = {"rmse": repr(value), "strategy": result.strategy.value, "rows": test.n}
+    if result.cg_iterations is not None:
+        extra["cg_iterations_y"] = result.cg_iterations[0]
+        extra["cg_iterations_max_test_column"] = max(result.cg_iterations[1:], default=0)
+    return extra
 
 
 def cmd_diagnose(cfg: dict, out: Path) -> dict:
@@ -440,22 +469,22 @@ def cmd_diagnose(cfg: dict, out: Path) -> dict:
     theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
     input_dist = _build_input_dist(cfg)
     seed = int(cfg["seed"])
-    n = int(cfg["n"])
+    n = _int_in_range("n", cfg["n"])
+    dim = _input_dim(cfg, kernels)
     reports = curvature_experiment(
         pool_size=n,
-        m_grid=[int(m) for m in cfg["m_grid"]],
+        m_grid=[_int_in_range("m_grid", m, n) for m in cfg["m_grid"]],
         replicates=int(cfg["replicates"]),
         theta=theta,
         kernel=spec,
         input_dist=input_dist,
         seed=seed,
-        input_dim=int(cfg["input_dim"]),
+        input_dim=dim,
     )
     curvature_reports_to_csv(reports, out / "curvature.csv")
 
     pool_rng_seed = derived_seed(seed, "diagnose-eigendecay")
-    X = input_dist.sample(np.random.Generator(np.random.Philox(pool_rng_seed)), n,
-                          int(cfg["input_dim"]))
+    X = input_dist.sample(np.random.Generator(np.random.Philox(pool_rng_seed)), n, dim)
     spectrum = sym_eigenvalues(kernel_matrix(spec, X))
     family = DecayFamily(cfg["decay_family"])
     index_range = cfg["fit_index_range"]
@@ -688,11 +717,16 @@ def cmd_experiment(cfg: dict, out: Path, jobs: int) -> dict:
     study = cfg["study"]
     if study not in STUDIES:
         raise ConfigError(f"unknown study {study!r}; choose from {list(STUDIES)}")
-    # Batch sizes are checked here, before any repetition runs.
+    # Sizes are checked here, before any repetition runs.
+    if study != "lengthscale-monotone":
+        n = _int_in_range("n", cfg["n"])
+        _input_dim(cfg, _build_kernels(cfg))
     if study == "param-convergence":
-        _int_in_range("m", cfg["m"], _int("n", cfg["n"]))
+        _batch_size("m", cfg["m"], n, cfg["scaling"])
     elif study in ("vary-m", "grad-convergence"):
-        n = _int("n", cfg["n"])
+        for m in cfg["m_grid"]:
+            _batch_size("m_grid", m, n, cfg["scaling"])
+    elif study == "curvature":
         for m in cfg["m_grid"]:
             _int_in_range("m_grid", m, n)
 

@@ -10,6 +10,15 @@ Two stationary families are provided, both with unit diagonal k(x, x) = 1:
 The marginal covariance of the observations is
     K(theta) = sum_l theta_l K_l + noise * I
 for base kernel matrices K_l and signal variances theta_1..theta_M.
+
+Matrices are assembled in tiles of _TILE = 128 rows and columns
+(cross-covariances too). A symmetric matrix builds only its upper tiles:
+each takes the explicit differences of its rows and columns, applies the
+kernel profile, scales and sums the components in order (a diagonal tile
+also gets the unit diagonal and the noise), and is written into its place
+and, transposed, into the mirrored one. Explicit differences make entry
+(a, b) equal (b, a) bit for bit, so the mirror is exact and the result
+equals building every entry; the only n x n array allocated is the result.
 """
 
 from __future__ import annotations
@@ -250,49 +259,81 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
     return float(_matern_profile(np.asarray(r), spec.matern_order, spec.lengthscales[0]))
 
 
-_ROW_BLOCK = 512
+_TILE = 128
 
 
-def _pairwise_sq_dists(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """sum_j (z_aj - z2_bj)^2 from explicit differences, in row blocks.
+def _tile_sq(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
+    """sum_j (z_aj - z2_bj)^2 for one tile, from explicit differences.
 
-    Explicit differences keep (a, b) and (b, a) bit-identical (so kernel
-    matrices are symmetric to the last bit); blocking bounds the (block, t, D)
-    intermediate instead of materializing all n^2 D differences at once.
+    z_a - z_b and z_b - z_a are exact negatives, so their squares and sums
+    agree bit for bit: the tile for (rows, cols) is the exact transpose of
+    the tile for (cols, rows). This is what makes mirroring a tile exact.
     """
-    n = Z.shape[0]
-    out = np.empty((n, Z2.shape[0]))
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        diff = Z[start:stop, None, :] - Z2[None, :, :]
-        out[start:stop] = np.einsum("abj,abj->ab", diff, diff)
+    diff = Z[:, None, :] - Z2[None, :, :]
+    return np.einsum("abj,abj->ab", diff, diff)
+
+
+def _from_tiles(n: int, t: int, tile, symmetric: bool) -> np.ndarray:
+    """An n x t matrix from `tile(rows, cols)` on _TILE x _TILE blocks.
+
+    With `symmetric` (n == t) only the upper tiles are built, and each one
+    off the diagonal is also written, transposed, into its mirrored place.
+    Each tile bounds the (_TILE, _TILE, D) difference array; the only n x t
+    array is the result. A matrix of one tile (every fit batch up to 128
+    points) is that tile, returned without a copy.
+    """
+    if n <= _TILE and t <= _TILE:
+        return tile(slice(0, n), slice(0, t))
+    out = np.empty((n, t))
+    for i in range(0, n, _TILE):
+        rows = slice(i, min(i + _TILE, n))
+        for j in range(i if symmetric else 0, t, _TILE):
+            cols = slice(j, min(j + _TILE, t))
+            block = tile(rows, cols)
+            out[rows, cols] = block
+            if symmetric and j != i:
+                out[cols, rows] = block.T
     return out
+
+
+def _scaled_inputs(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """X / l_j per dimension (RBF) or X itself (Matern), so that the squared
+    distance between rows is what the kernel profile takes."""
+    if spec.family == KernelFamily.RBF:
+        return X / np.asarray(spec.lengthscales)[None, :]
+    return X
 
 
 def _scaled_sq_dists(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """Pairwise sum_j (x_aj - x_bj)^2 / l_j^2 (RBF) or squared Euclidean
     distance (Matern)."""
-    if spec.family == KernelFamily.RBF:
-        Z = X / np.asarray(spec.lengthscales)[None, :]
-    else:
-        Z = X
-    return _pairwise_sq_dists(Z, Z)
+    Z = _scaled_inputs(spec, X)
+    return _from_tiles(Z.shape[0], Z.shape[0], lambda r, c: _tile_sq(Z[r], Z[c]), True)
 
 
-def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Base kernel matrix from the output of `_scaled_sq_dists`."""
+def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Base kernel values from scaled squared distances; `diagonal` marks a
+    block whose diagonal pairs a point with itself (set exactly to 1)."""
     if spec.family == KernelFamily.RBF:
         K = np.exp(-0.5 * sq)
     else:
         K = _matern_profile(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
-    np.fill_diagonal(K, 1.0)
+    if diagonal:
+        np.fill_diagonal(K, 1.0)
     return K
+
+
+def _base_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """`kernel_matrix` on already checked inputs."""
+    Z = _scaled_inputs(spec, X)
+    return _from_tiles(
+        Z.shape[0], Z.shape[0],
+        lambda r, c: _kernel_from_sq(spec, _tile_sq(Z[r], Z[c]), r == c), True)
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """Base kernel matrix over the rows of X: symmetric, unit diagonal, PSD."""
-    X = _check_inputs(spec, X)
-    return _kernel_from_sq(spec, _scaled_sq_dists(spec, X))
+    return _base_matrix(spec, _check_inputs(spec, X))
 
 
 def cross_kernel_matrix(spec: KernelSpec, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -301,11 +342,10 @@ def cross_kernel_matrix(spec: KernelSpec, X: np.ndarray, X2: np.ndarray) -> np.n
     X2 = _check_inputs(spec, X2)
     if X.shape[1] != X2.shape[1]:
         raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
-    if spec.family == KernelFamily.RBF:
-        ls = np.asarray(spec.lengthscales)[None, :]
-        return np.exp(-0.5 * _pairwise_sq_dists(X / ls, X2 / ls))
-    r = np.sqrt(_pairwise_sq_dists(X, X2))
-    return _matern_profile(r, spec.matern_order, spec.lengthscales[0])
+    Z, Z2 = _scaled_inputs(spec, X), _scaled_inputs(spec, X2)
+    return _from_tiles(
+        Z.shape[0], Z2.shape[0],
+        lambda r, c: _kernel_from_sq(spec, _tile_sq(Z[r], Z2[c]), False), False)
 
 
 def _check_inputs(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -335,16 +375,25 @@ def _check_theta(kernels: MultiKernel, theta: HyperParams) -> None:
 
 
 def marginal_covariance(kernels: MultiKernel, theta: HyperParams, X: np.ndarray) -> np.ndarray:
-    """K(theta) = sum_l theta_l K_l + noise * I over the rows of X."""
+    """K(theta) = sum_l theta_l K_l + noise * I over the rows of X.
+
+    Each tile sums its components' scaled base tiles in component order and
+    adds the noise on its diagonal, so no n x n array but K is allocated.
+    """
     _check_theta(kernels, theta)
     eff = effective_kernels(kernels, theta)
     X = _check_inputs(eff.components[0], X)
-    n = X.shape[0]
-    K = np.zeros((n, n))
-    for variance, spec in zip(theta.signal_variances, eff.components):
-        K += variance * kernel_matrix(spec, X)
-    K[np.diag_indices(n)] += theta.noise_variance
-    return K
+    parts = [(variance, spec, _scaled_inputs(spec, X))
+             for variance, spec in zip(theta.signal_variances, eff.components)]
+
+    def tile(rows: slice, cols: slice) -> np.ndarray:
+        block = sum(variance * _kernel_from_sq(spec, _tile_sq(Z[rows], Z[cols]), rows == cols)
+                    for variance, spec, Z in parts)
+        if rows == cols:
+            block[np.diag_indices(block.shape[0])] += theta.noise_variance
+        return block
+
+    return _from_tiles(X.shape[0], X.shape[0], tile, True)
 
 
 def covariance_and_grads(
@@ -368,10 +417,14 @@ def covariance_and_grads(
     learn = theta.lengthscales is not None
     bases, dists = [], []
     for spec in eff.components:
-        sq = _scaled_sq_dists(spec, X)
-        bases.append(_kernel_from_sq(spec, sq))
         # Only the Matern d/dh needs the distances again; RBF reuses K_c.
-        dists.append(sq if learn and spec.family == KernelFamily.MATERN else None)
+        if learn and spec.family == KernelFamily.MATERN:
+            sq = _scaled_sq_dists(spec, X)
+            bases.append(_kernel_from_sq(spec, sq, True))
+            dists.append(sq)
+        else:
+            bases.append(_base_matrix(spec, X))
+            dists.append(None)
     K = np.zeros((n, n))
     for variance, base in zip(theta.signal_variances, bases):
         K += variance * base

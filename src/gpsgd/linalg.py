@@ -109,16 +109,26 @@ def inverse(factor: CholeskyFactor) -> np.ndarray:
     return inv.T
 
 
-def solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve K x = b given the Cholesky factor of K.
+def forward_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
+    """L^-1 b given the Cholesky factor L of K: one triangular pass.
 
+    With W = L^-1 [b | c], b^T K^-1 c is the inner product of W's columns,
+    so one pass over all right-hand sides serves every such quadratic form.
     Accepts a vector or a matrix of right-hand sides; returns the same shape.
     """
     b = np.asarray(b, dtype=np.float64)
     n = factor.n
     if b.shape[0] != n:
         raise ValueError(f"right-hand side has leading dimension {b.shape[0]}, expected {n}")
-    z = scipy.linalg.solve_triangular(factor.lower, b, lower=True)
+    return scipy.linalg.solve_triangular(factor.lower, b, lower=True)
+
+
+def solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
+    """Solve K x = b given the Cholesky factor of K.
+
+    Accepts a vector or a matrix of right-hand sides; returns the same shape.
+    """
+    z = forward_solve(factor, b)
     return scipy.linalg.solve_triangular(factor.lower, z, lower=True, trans="T")
 
 

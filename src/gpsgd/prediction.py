@@ -6,7 +6,10 @@
 with k(., .) = sum_l theta_l k_l(., .) and K the marginal covariance of the
 training responses (noise included). Three strategies: exact Cholesky,
 conjugate gradient for large n, and a nearest-neighbor-truncated variant that
-conditions each test point on its n_neighbors closest training points.
+conditions each test point on its n_neighbors closest training points. The
+exact strategy factors K = L L^T and makes one triangular pass
+W = L^-1 [y | k*], from which the mean is W_k^T w_y and the variance
+k(x*, x*) - colsum(W_k^2).
 
 Products with the n x n covariance and the n x t cross-covariance go through
 scipy's BLAS, like the factorizations in linalg, so that consecutive stages
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsymv
 
 from .kernels import HyperParams, MultiKernel, cross_kernel_matrix, effective_kernels, marginal_covariance
-from .linalg import cg_solve, cholesky, solve
+from .linalg import cg_solve, cholesky, forward_solve
 from .sampling import SpatialIndex
 
 EXACT_SIZE_LIMIT = 10_000
@@ -87,9 +90,12 @@ def predict(
     K = marginal_covariance(kernels, theta, X_train)
 
     if strategy == PredictStrategy.EXACT:
-        factor = cholesky(K)
-        alpha = solve(factor, y_train)
-        V = solve(factor, k_star)
+        # One forward pass W = L^-1 [y | k*] gives every quadratic form:
+        # k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k.
+        W = forward_solve(cholesky(K), np.column_stack((y_train, k_star)))
+        w_y, W_k = W[:, 0], W[:, 1:]
+        mean = dgemv(1.0, W_k, w_y, trans=1)
+        left, right = W_k, W_k
         iterations = None
     elif strategy == PredictStrategy.CG:
         # dsymv reads one triangle of K; K.T is the same buffer in Fortran
@@ -106,17 +112,19 @@ def predict(
             _require_converged(col)
             V[:, j] = col.x
             iterations.append(col.iterations)
+        mean = dgemv(1.0, k_star.T, alpha)
+        left, right = k_star, V
     else:
         raise ValueError("use predict_nn for nearest-neighbor prediction")
 
-    mean = dgemv(1.0, k_star.T, alpha)
-    variance = np.maximum(prior_var - np.einsum("ij,ij->j", k_star, V), 0.0)
+    # k*^T K^-1 k* is left^T right: W_k^T W_k (exact) or k*^T V (CG).
+    variance = np.maximum(prior_var - np.einsum("ij,ij->j", left, right), 0.0)
     cross = None
     if return_cov:
         prior_cov = np.zeros((X_test.shape[0], X_test.shape[0]))
         for variance_l, spec in zip(theta.signal_variances, eff.components):
             prior_cov += variance_l * cross_kernel_matrix(spec, X_test, X_test)
-        cross = prior_cov - k_star.T @ V
+        cross = prior_cov - left.T @ right
     return PredictionResult(
         mean=mean, variance=variance, strategy=strategy,
         cross_covariance=cross, cg_iterations=iterations,

@@ -49,6 +49,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Log-scaled signal slots need at least this many points per minibatch.
+MIN_LOG_SCALED_M = 3
+
 
 class ScalingMode(str, Enum):
     LINEAR = "linear"       # s_l(m) = m
@@ -89,8 +92,8 @@ class ScalingPolicy:
             raise ValueError(
                 f"{len(self.signal_modes)} scaling modes for {n_kernels} signal slots"
             )
-        if self.has_log and m < 3:
-            raise ValueError("log-scaled slots require minibatch size m >= 3")
+        if self.has_log and m < MIN_LOG_SCALED_M:
+            raise ValueError(f"log-scaled slots require minibatch size m >= {MIN_LOG_SCALED_M}")
         out = np.full(n_kernels + 1 + n_lengthscales, float(m))
         for l, mode in enumerate(self.signal_modes):
             if mode == ScalingMode.LOG_SCALED:

@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from gpsgd import HyperParams, KernelSpec, MultiKernel, PredictStrategy, load_csv, predict
 from gpsgd.cli import main
 
 
@@ -139,6 +142,56 @@ def test_batch_sizes_checked_before_work(tmp_path, capsys):
         assert run(experiment + ["--set", f"study={study}", "--set", f"{key}={value}"]) == 2
         assert f"{key} must be in [1, 64]" in capsys.readouterr().err
     assert not list((tmp_path / "x").glob("*.csv"))
+
+
+def test_log_scaling_needs_three_points_per_batch(tmp_path, capsys):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    assert run(["fit", "--out", tmp_path / "bad", "--set", f"data={csv}",
+                "--set", "scaling=log", "--set", "m=2"]) == 2
+    assert "scaling=log requires m >= 3, got 2" in capsys.readouterr().err
+    # log is the vary-m study's default scaling
+    assert run(["experiment", "--out", tmp_path / "x", "--seed", 1, "--set", "n=64",
+                "--set", "study=vary-m", "--set", "m_grid=[2]"]) == 2
+    assert "scaling=log requires m_grid >= 3, got 2" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("simulate", ["n=abc"], "n must be an integer, got 'abc'"),
+    ("simulate", ["n=0"], "n must be a positive integer, got 0"),
+    ("diagnose", ["n=0"], "n must be a positive integer, got 0"),
+    ("experiment", ["study=curvature", "n=0"], "n must be a positive integer, got 0"),
+    ("simulate", ["input_dim=2"], "input_dim is 2 but an rbf kernel has 1 lengthscales"),
+    ("diagnose", ["n=64", "input_dim=2"], "input_dim is 2 but an rbf kernel has 1 lengthscales"),
+    ("experiment", ["study=vary-m", "n=64", "m_grid=[8]", "input_dim=2"],
+     "input_dim is 2 but an rbf kernel has 1 lengthscales"),
+], ids=["simulate-n-abc", "simulate-n-0", "diagnose-n-0", "experiment-n-0",
+        "simulate-input-dim", "diagnose-input-dim", "experiment-input-dim"])
+def test_bad_n_or_input_dim_exits_two(tmp_path, capsys, command, settings, message):
+    args = [command, "--out", tmp_path / "bad", "--seed", 1]
+    for kv in settings:
+        args += ["--set", kv]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+def test_predict_cg_summary_reports_iterations(tmp_path):
+    train = simulate_small(tmp_path, "train", n=80, seed=1)
+    test = simulate_small(tmp_path, "test", n=20, seed=2)
+    common = ["--set", f"train={train / 'dataset.csv'}", "--set", f"test={test / 'dataset.csv'}"]
+    assert run(["predict", "--out", tmp_path / "cg", "--set", "strategy=cg"] + common) == 0
+    summary = dict(line.split(": ", 1)
+                   for line in (tmp_path / "cg" / "summary.txt").read_text().splitlines())
+    train_ds, test_ds = load_csv(train / "dataset.csv"), load_csv(test / "dataset.csv")
+    result = predict(HyperParams((1.0,), 1.0), MultiKernel.single(KernelSpec.rbf(0.5)),
+                     train_ds.X, train_ds.y, test_ds.X, strategy=PredictStrategy.CG)
+    assert int(summary["cg_iterations_y"]) == result.cg_iterations[0] > 0
+    assert int(summary["cg_iterations_max_test_column"]) == max(result.cg_iterations[1:])
+    lines = (tmp_path / "cg" / "predictions.csv").read_text().strip().split("\n")
+    assert lines[0] == "index,mean,variance,truth,abs_err" and len(lines) == 21
+    assert run(["predict", "--out", tmp_path / "exact", "--set", "strategy=exact"] + common) == 0
+    assert "cg_iterations" not in (tmp_path / "exact" / "summary.txt").read_text()
 
 
 def test_predict_reports_rmse(tmp_path, capsys):

@@ -17,7 +17,13 @@ from gpsgd import (
     marginal_covariance,
     sym_eigenvalues,
 )
-from gpsgd.kernels import KernelFamily, base_lengthscale_grad, cross_kernel_matrix
+from gpsgd.kernels import (
+    KernelFamily,
+    base_lengthscale_grad,
+    covariance_and_grads,
+    cross_kernel_matrix,
+    effective_kernels,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -167,7 +173,80 @@ def test_marginal_covariance_two_kernels_brute_force():
         + 0.5 * kernel_matrix(specs[1], X)
         + 0.25 * np.eye(9)
     )
-    assert np.allclose(marginal_covariance(mk, theta, X), expected, atol=1e-14)
+    assert np.array_equal(marginal_covariance(mk, theta, X), expected)
+
+
+# Row-block assembly as it was before the tiled one: each block of 512 rows
+# against every column, the profile over the whole matrix, then the diagonal.
+def _row_block_sq(Z, Z2):
+    out = np.empty((Z.shape[0], Z2.shape[0]))
+    for start in range(0, Z.shape[0], 512):
+        diff = Z[start:start + 512, None, :] - Z2[None, :, :]
+        out[start:start + 512] = np.einsum("abj,abj->ab", diff, diff)
+    return out
+
+
+def _row_block_base(spec, X, X2=None):
+    symmetric = X2 is None
+    X2 = X if symmetric else X2
+    if spec.family == KernelFamily.RBF:
+        ls = np.asarray(spec.lengthscales)[None, :]
+        K = np.exp(-0.5 * _row_block_sq(X / ls, X2 / ls))
+    else:
+        r, h = np.sqrt(_row_block_sq(X, X2)), spec.lengthscales[0]
+        if spec.matern_order == 0.5:
+            K = np.exp(-r / h)
+        elif spec.matern_order == 1.5:
+            u = math.sqrt(3.0) * r / h
+            K = (1.0 + u) * np.exp(-u)
+        else:
+            u = math.sqrt(5.0) * r / h
+            K = (1.0 + u + u * u / 3.0) * np.exp(-u)
+    if symmetric:
+        np.fill_diagonal(K, 1.0)
+    return K
+
+
+def _row_block_covariance(kernels, theta, X):
+    n = X.shape[0]
+    K = np.zeros((n, n))
+    for variance, spec in zip(theta.signal_variances, effective_kernels(kernels, theta).components):
+        K += variance * _row_block_base(spec, X)
+    K[np.diag_indices(n)] += theta.noise_variance
+    return K
+
+
+TILED_CASES = {
+    "rbf-d1": (MultiKernel.single(KernelSpec.rbf(0.5)), HyperParams((4.0,), 1.0), 1),
+    "rbf-d4": (MultiKernel.single(KernelSpec.rbf((0.5, 1.0, 2.0, 0.7))),
+               HyperParams((1.3,), 0.1), 4),
+    "matern-0.5": (MultiKernel.single(KernelSpec.matern(0.5, 0.8)), HyperParams((2.0,), 0.5), 2),
+    "matern-1.5": (MultiKernel.single(KernelSpec.matern(1.5, 1.3)), HyperParams((2.0,), 0.5), 3),
+    "matern-2.5": (MultiKernel.single(KernelSpec.matern(2.5, 0.6)), HyperParams((2.0,), 0.5), 1),
+    "rbf+matern": (MultiKernel((KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0))),
+                   HyperParams((3.0, 1.0), 0.5), 1),
+    "learned-lengthscales": (MultiKernel.single(KernelSpec.rbf((1.0,) * 4)),
+                             HyperParams((1.3,), 0.1, (0.3, 0.9, 1.7, 2.2)), 4),
+}
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("case", sorted(TILED_CASES))
+def test_tiled_assembly_bit_identical_to_row_blocks(case, n):
+    kernels, theta, dim = TILED_CASES[case]
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, dim)) * 3
+    X2 = rng.normal(size=(n // 2 + 131, dim)) * 3   # crosses a tile boundary too
+    K = marginal_covariance(kernels, theta, X)
+    assert np.array_equal(K, _row_block_covariance(kernels, theta, X))
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(covariance_and_grads(kernels, theta, X)[0], K)
+    for spec in effective_kernels(kernels, theta).components:
+        base = kernel_matrix(spec, X)
+        assert np.array_equal(base, _row_block_base(spec, X))
+        assert np.array_equal(base, base.T)
+        assert np.array_equal(cross_kernel_matrix(spec, X, X2), _row_block_base(spec, X, X2))
+        assert np.array_equal(cross_kernel_matrix(spec, X2, X), _row_block_base(spec, X2, X))
 
 
 def test_marginal_covariance_dimension_mismatch():

@@ -19,6 +19,8 @@ from gpsgd import (
     simulate_gp,
     train_test_split,
 )
+from gpsgd.kernels import cross_kernel_matrix, marginal_covariance
+from gpsgd.linalg import cholesky, solve
 from gpsgd.prediction import CGConvergenceError
 from gpsgd.seeds import component_rng
 
@@ -101,6 +103,33 @@ def test_return_cov_diagonal_matches_variance():
     assert result.cross_covariance.shape == (6, 6)
     assert np.allclose(np.diag(result.cross_covariance), result.variance, atol=1e-10)
     assert np.allclose(result.cross_covariance, result.cross_covariance.T, atol=1e-10)
+
+
+def test_exact_one_pass_matches_two_solve_oracle():
+    # The oracle solves K alpha = y and K V = k* with two triangular passes
+    # each; predict takes both from the one forward pass L^-1 [y | k*].
+    theta = HyperParams((3.0, 1.0), 0.5)
+    kernels = MultiKernel((KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0)))
+    ds = simulate_gp(kernels, theta, 150, Gaussian(5.0), 1, seed=13)
+    X_test = component_rng(14, "one-pass-test").normal(0, 5.0, size=(30, 1))
+    result = predict(theta, kernels, ds.X, ds.y, X_test, strategy=PredictStrategy.EXACT,
+                     return_cov=True)
+
+    def cross(A, B):
+        return sum(v * cross_kernel_matrix(spec, A, B)
+                   for v, spec in zip(theta.signal_variances, kernels.components))
+
+    k_star = cross(ds.X, X_test)
+    factor = cholesky(marginal_covariance(kernels, theta, ds.X))
+    mean = k_star.T @ solve(factor, ds.y)
+    cov = cross(X_test, X_test) - k_star.T @ solve(factor, k_star)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(result.mean, mean) < 1e-12
+    assert rel(result.variance, np.diag(cov)) < 1e-12
+    assert rel(result.cross_covariance, cov) < 1e-12
 
 
 def test_predict_nn_full_set_equals_exact():
