@@ -2,8 +2,10 @@
 and execute multi-repetition studies with reproducible seeds and CSV outputs.
 
 Configuration is a flat JSON document merged with `--set key=value` overrides
-(flags win); unknown keys are rejected. Every run writes a `summary.txt` with
-the resolved-config hash and elapsed time. Output CSVs contain no wall-clock
+(flags win); unknown keys are rejected. Every key has a default, a type and a
+range in one table, `KEYS`; every value and the rules that tie keys together
+are checked before any work. Every run writes a `summary.txt` with the
+resolved-config hash and elapsed time. Output CSVs contain no wall-clock
 columns, so a rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage/config error.
@@ -19,13 +21,15 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
+from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     BENCHMARK_FUNCTIONS,
-    Dataset,
     Gaussian,
     Uniform,
     load_csv,
@@ -42,7 +46,15 @@ from .diagnostics import (
     gaussian_kernel_eigenvalues,
     surrogate_curvature,
 )
-from .kernels import HyperParams, KernelFamily, KernelSpec, MultiKernel, kernel_matrix
+from .kernels import (
+    MATERN_ORDERS,
+    HyperParams,
+    KernelFamily,
+    KernelSpec,
+    MultiKernel,
+    kernel_matrix,
+    param_names,
+)
 from .linalg import sym_eigenvalues
 from .prediction import PredictStrategy, predict, predict_nn, rmse
 from .sampling import SamplingScheme, build_index
@@ -50,7 +62,7 @@ from .seeds import derived_seed
 from .training import (
     DEFAULT_CLAMP_BOUNDS,
     MIN_LOG_SCALED_M,
-    FitTrace,
+    ScalingMode,
     ScalingPolicy,
     SGDConfig,
     adam_fit,
@@ -65,111 +77,131 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
+POSITIVE, NONNEGATIVE = "positive", "nonnegative"
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default, its type and the range of its value.
+
+    `kind` is int, float, bool, path (an existing file), ints or floats (a
+    nonempty list; a bare number is a list of one), choice (a value of
+    `choices`, an Enum class or a tuple), clamp (true for the default bounds,
+    or floats) or kernels (a list of kernel blocks). `low` bounds a number,
+    or each entry of a list, below. Only a nullable key takes null.
+    """
+
+    default: object
+    kind: str
+    low: str | None = None
+    choices: type[Enum] | tuple = ()
+    nullable: bool = False
+
+
+STUDIES = ("param-convergence", "grad-convergence", "vary-m", "curvature", "lengthscale-monotone")
+
 _KERNEL_KEYS = {
-    "kernel_family": "rbf",        # rbf | matern
-    "lengthscales": [0.5],         # one per input dimension (rbf) or [h] (matern)
-    "matern_order": None,          # 0.5 | 1.5 | 2.5
-    "kernels": None,               # list of kernel blocks for a sum of kernels
+    "kernel_family": Key("rbf", "choice", choices=KernelFamily),
+    "lengthscales": Key([0.5], "floats", POSITIVE),   # one per input dimension (rbf) or [h] (matern)
+    "matern_order": Key(None, "choice", choices=MATERN_ORDERS, nullable=True),
+    "kernels": Key(None, "kernels", nullable=True),  # kernel blocks for a sum of kernels
 }
 
-_INPUT_KEYS = {
-    "input_kind": "gaussian",      # gaussian | uniform
-    "input_sd": 5.0,
-    "input_low": -10.0,
-    "input_high": 10.0,
+
+def _input_keys(sd: float) -> dict:
+    return {
+        "input_kind": Key("gaussian", "choice", choices=("gaussian", "uniform")),
+        "input_sd": Key(sd, "float", POSITIVE),
+        "input_low": Key(-10.0, "float"),
+        "input_high": Key(10.0, "float"),
+    }
+
+
+def _theta_keys(prefix: str, signal: list, noise: float) -> dict:
+    return {f"{prefix}_signal": Key(signal, "floats", POSITIVE),
+            f"{prefix}_noise": Key(noise, "float", POSITIVE)}
+
+
+# m and m_grid lie in [1, n], a cross-key rule (see _check_batch_sizes).
+_SGD_KEYS = {
+    "m": Key(128, "int"),
+    "epochs": Key(25, "int", NONNEGATIVE),
+    "alpha1": Key(9.0, "float", POSITIVE),
+    "scaling": Key("linear", "choice", choices=ScalingMode),   # signal-slot divisor
+    "tau": Key(3.0, "float", POSITIVE),
+    "sampling": Key("uniform", "choice", choices=SamplingScheme),
+    **_theta_keys("theta0", [1.0], 1.0),
+    "clamp": Key(None, "clamp", POSITIVE, nullable=True),  # true, or [theta_min, theta_max]
+    "clip": Key(None, "float", POSITIVE, nullable=True),    # gradient-norm threshold G
+    "grad_norm_every": Key(0, "int", NONNEGATIVE),
 }
 
-_OPTIMIZER_KEYS = {
-    "optimizer": "sgd",            # sgd | adam
-    "m": 128,
-    "epochs": 25,
-    "iterations": None,            # overrides epochs when set
-    "alpha1": 9.0,
-    "learning_rate": 0.01,
-    "scaling": "linear",           # linear | log (signal slots)
-    "tau": 3.0,
-    "sampling": "uniform",         # uniform | nearby
-    "theta0_signal": [1.0],
-    "theta0_noise": 1.0,
-    "learn_lengthscales": False,
-    "clamp": None,                 # true for defaults, or [theta_min, theta_max]
-    "clip": None,                  # gradient-norm threshold G
-    "grad_norm_every": 0,
-}
+_SEED = Key(0, "int", NONNEGATIVE)
 
-SCHEMAS: dict[str, dict] = {
+KEYS: dict[str, dict[str, Key]] = {
     "simulate": {
-        "generator": "gp",         # gp | levy | griewank
-        "n": 1024,
-        "input_dim": 1,
-        "theta_signal": [4.0],
-        "theta_noise": 1.0,
-        "noise_sd": 1.0,           # function generators only
-        "seed": 0,
-        **_INPUT_KEYS,
+        "generator": Key("gp", "choice", choices=("gp", *BENCHMARK_FUNCTIONS)),
+        "n": Key(1024, "int", POSITIVE),
+        "input_dim": Key(1, "int", POSITIVE),
+        **_theta_keys("theta", [4.0], 1.0),
+        "noise_sd": Key(1.0, "float", NONNEGATIVE),   # function generators only
+        "seed": _SEED,
+        **_input_keys(5.0),
         **_KERNEL_KEYS,
     },
     "fit": {
-        "data": None,              # dataset CSV path (required)
-        "seed": 0,
+        "data": Key(None, "path"),
+        "seed": _SEED,
+        "optimizer": Key("sgd", "choice", choices=("sgd", "adam")),
+        "iterations": Key(None, "int", NONNEGATIVE, nullable=True),  # overrides epochs
+        "learning_rate": Key(0.01, "float", POSITIVE),
+        "learn_lengthscales": Key(False, "bool"),
+        **_SGD_KEYS,
         **_KERNEL_KEYS,
-        **_OPTIMIZER_KEYS,
     },
     "predict": {
-        "train": None,             # training CSV path (required)
-        "test": None,              # test CSV path (required)
-        "params": None,            # params.json from fit; overrides theta_* keys
-        "theta_signal": [1.0],
-        "theta_noise": 1.0,
-        "strategy": "auto",        # auto | exact | cg | nearest
-        "cg_tol": 1e-6,
-        "cg_max_iter": 1000,
-        "n_neighbors": 256,
-        "seed": 0,
+        "train": Key(None, "path"),
+        "test": Key(None, "path"),
+        "params": Key(None, "path", nullable=True),   # params.json from fit; overrides theta_*
+        **_theta_keys("theta", [1.0], 1.0),
+        "strategy": Key("auto", "choice", choices=("auto", *(s.value for s in PredictStrategy))),
+        "cg_tol": Key(1e-6, "float", POSITIVE),
+        "cg_max_iter": Key(1000, "int", POSITIVE),
+        "n_neighbors": Key(256, "int", POSITIVE),
+        "seed": _SEED,
         **_KERNEL_KEYS,
     },
     "diagnose": {
-        "n": 2048,
-        "input_dim": 1,
-        "theta_signal": [4.0],
-        "theta_noise": 1.0,
-        "m_grid": [16, 32, 64, 128],
-        "replicates": 50,
-        "decay_family": "exponential",   # exponential | polynomial
-        "fit_index_range": None,         # [lo, hi], 1-based inclusive
-        "seed": 0,
-        **{**_INPUT_KEYS, "input_sd": 10.0},
+        "n": Key(2048, "int", POSITIVE),
+        "input_dim": Key(1, "int", POSITIVE),
+        **_theta_keys("theta", [4.0], 1.0),
+        "m_grid": Key([16, 32, 64, 128], "ints"),
+        "replicates": Key(50, "int", POSITIVE),
+        "decay_family": Key("exponential", "choice", choices=DecayFamily),
+        "fit_index_range": Key(None, "ints", POSITIVE, nullable=True),  # [lo, hi], 1-based inclusive
+        "seed": _SEED,
+        **_input_keys(10.0),
         **_KERNEL_KEYS,
     },
     "experiment": {
-        "study": None,             # required study name
-        "reps": 10,
-        "n": 1024,
-        "input_dim": 1,
-        "theta_signal": [4.0],
-        "theta_noise": 1.0,
-        "m": 128,
-        "m_grid": [32, 128, 512],
-        "replicates": 50,
-        "lengthscale_grid": [0.5, 0.75, 1.0, 1.5, 2.0],
-        "surrogate_m": 2048,
-        "epochs": 25,
-        "alpha1": 9.0,
-        "scaling": "log",
-        "tau": 3.0,
-        "sampling": "uniform",
-        "theta0_signal": [5.0],
-        "theta0_noise": 3.0,
-        "clamp": True,
-        "clip": None,
-        "grad_norm_every": 0,
-        "seed": None,              # mandatory for reproducible studies
-        **{**_INPUT_KEYS, "input_sd": 5.0},
+        "study": Key(None, "choice", choices=STUDIES),
+        "reps": Key(10, "int", POSITIVE),
+        "n": Key(1024, "int", POSITIVE),
+        "input_dim": Key(1, "int", POSITIVE),
+        **_theta_keys("theta", [4.0], 1.0),
+        "m_grid": Key([32, 128, 512], "ints"),
+        "replicates": Key(50, "int", POSITIVE),
+        "lengthscale_grid": Key([0.5, 0.75, 1.0, 1.5, 2.0], "floats", POSITIVE),
+        "surrogate_m": Key(2048, "int", POSITIVE),
+        **_SGD_KEYS,
+        "scaling": Key("log", "choice", choices=ScalingMode),
+        **_theta_keys("theta0", [5.0], 3.0),
+        "clamp": Key(True, "clamp", POSITIVE, nullable=True),
+        "seed": Key(None, "int", NONNEGATIVE),   # mandatory for reproducible studies
+        **_input_keys(5.0),
         **_KERNEL_KEYS,
     },
 }
-
-STUDIES = ("param-convergence", "grad-convergence", "vary-m", "curvature", "lengthscale-monotone")
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -185,9 +217,16 @@ def _parse_set(pairs: list[str]) -> dict:
     return out
 
 
-def resolve_config(command: str, args) -> dict:
-    schema = SCHEMAS[command]
-    cfg = dict(schema)
+def resolve_config(command: str, args) -> tuple[dict, dict]:
+    """The resolved config (defaults, then the config file, then `--set`,
+    then `--seed`) as given, and the same config checked and typed.
+
+    Every key is checked against KEYS and the cross-key rules hold before
+    any subcommand runs. The first dict is what config_hash hashes, so
+    checking never changes a hash.
+    """
+    keys = KEYS[command]
+    cfg = {key: spec.default for key, spec in keys.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -201,14 +240,161 @@ def resolve_config(command: str, args) -> dict:
     cfg.update(_parse_set(args.set))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    unknown = set(cfg) - set(schema)
+    unknown = set(cfg) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     if command == "experiment" and cfg["seed"] is None:
         raise ConfigError("experiment requires a seed (--seed or the seed key)")
     if cfg.get("seed") is None:
         cfg["seed"] = 0
-    return cfg
+    typed = {key: _typed(key, keys[key], value) for key, value in cfg.items()}
+    _check_rules(command, typed)
+    return cfg, typed
+
+
+def _typed(key: str, spec: Key, value):
+    """`value` of `key` as the type `spec` gives, else a ConfigError naming
+    the key. A bool or a non-integral float is not an integer."""
+    if value is None:
+        if spec.nullable:
+            return None
+        raise ConfigError(f"{key} is required")
+    kind = spec.kind
+    if kind in ("ints", "floats"):
+        items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ConfigError(f"{key} must not be empty")
+        entry = Key(None, kind[:-1], spec.low)
+        return tuple(_typed(key, entry, item) for item in items)
+    if kind == "clamp":
+        if value is True:
+            return DEFAULT_CLAMP_BOUNDS
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be true or [lo, hi], got {value!r}")
+        return _typed(key, Key(None, "floats", spec.low), value)
+    if kind == "choice":
+        enum = spec.choices if isinstance(spec.choices, type) else None
+        names = [c.value for c in enum] if enum else list(spec.choices)
+        if value not in names:
+            raise ConfigError(f"{key} must be one of {names}, got {value!r}")
+        return enum(value) if enum else value
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+        return value
+    if kind == "path":
+        if not isinstance(value, str) or not Path(value).is_file():
+            raise ConfigError(f"{key} file not found: {value!r}")
+        return Path(value)
+    if kind == "kernels":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a nonempty list of kernel blocks, got {value!r}")
+        try:
+            return tuple(KernelSpec.from_config(block) for block in value)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad kernel config in {key}: {exc}") from None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int":
+        if not number or isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    else:
+        if not number or not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        value = float(value)
+    if spec.low == POSITIVE and value <= 0 or spec.low == NONNEGATIVE and value < 0:
+        what = "integer" if kind == "int" else "number"
+        raise ConfigError(f"{key} must be a {spec.low} {what}, got {value}")
+    return value
+
+
+def _check_rules(command: str, c: dict) -> None:
+    """The rules that tie keys together. Replaces the kernel keys with the
+    model they give, `c["kernels"]`, and `params` with the hyperparameters
+    its file holds."""
+    study = c.get("study")
+    if command == "simulate" and c["generator"] != "gp":
+        c["kernels"] = None
+    elif c["kernels"] is not None:
+        c["kernels"] = MultiKernel(c["kernels"])
+    else:
+        try:
+            c["kernels"] = MultiKernel.single(
+                KernelSpec(c["kernel_family"], c["lengthscales"], c["matern_order"]))
+        except ValueError as exc:
+            raise ConfigError(f"bad kernel config: {exc}") from None
+    kernels = c["kernels"]
+    if kernels is not None:
+        for key in ("theta_signal", "theta0_signal"):
+            if key in c and not (key == "theta_signal" and c.get("params")):
+                _check_theta_length(key, c[key], kernels)
+        if "input_dim" in c and study != "lengthscale-monotone":
+            for spec in kernels.components:
+                if spec.family == KernelFamily.RBF and spec.n_lengthscales != c["input_dim"]:
+                    raise ConfigError(f"input_dim is {c['input_dim']} but an rbf kernel has "
+                                      f"{spec.n_lengthscales} lengthscales")
+        if kernels.n_kernels != 1 and (command == "diagnose" or study in (
+                "curvature", "lengthscale-monotone")):
+            raise ConfigError(f"{study or command} uses a single kernel")
+    if c.get("params") is not None:
+        c["params"] = _read_params(c["params"], kernels)
+    if c.get("input_kind") == "uniform" and not c["input_low"] < c["input_high"]:
+        raise ConfigError(f"input_low must be below input_high, got "
+                          f"{c['input_low']} and {c['input_high']}")
+    if c.get("learn_lengthscales") and c["optimizer"] != "adam":
+        raise ConfigError("learn_lengthscales requires the adam optimizer")
+    for key in ("clamp", "fit_index_range"):
+        pair = c.get(key)
+        if pair is not None and not (len(pair) == 2 and pair[0] < pair[1]):
+            raise ConfigError(f"{key} must be [lo, hi] with lo < hi, got {list(pair)}")
+    if command == "diagnose" or study == "curvature":
+        _check_batch_sizes("m_grid", c["m_grid"], c["n"])
+    elif study == "param-convergence":
+        _check_batch_sizes("m", c["m"], c["n"], c["scaling"])
+    elif study in ("vary-m", "grad-convergence"):
+        _check_batch_sizes("m_grid", c["m_grid"], c["n"], c["scaling"])
+    elif study == "lengthscale-monotone" and sorted(c["lengthscale_grid"]) != list(
+            c["lengthscale_grid"]):
+        raise ConfigError("lengthscale_grid must be ascending")
+
+
+def _check_theta_length(key: str, signal: tuple, kernels: MultiKernel) -> None:
+    if len(signal) != kernels.n_kernels:
+        raise ConfigError(f"{key} has {len(signal)} entries for {kernels.n_kernels} kernels")
+
+
+def _check_batch_sizes(key: str, sizes, n: int, scaling: ScalingMode | None = None) -> None:
+    """Each size in [1, n], and at least MIN_LOG_SCALED_M when the signal
+    slots are log-scaled."""
+    for m in sizes if isinstance(sizes, tuple) else (sizes,):
+        if not 1 <= m <= n:
+            raise ConfigError(f"{key} must be in [1, {n}], got {m}")
+        if scaling == ScalingMode.LOG_SCALED and m < MIN_LOG_SCALED_M:
+            raise ConfigError(f"scaling=log requires {key} >= {MIN_LOG_SCALED_M}, got {m}")
+
+
+_PARAMS_KEYS = {
+    "theta_signal": Key(None, "floats", POSITIVE),
+    "theta_noise": Key(None, "float", POSITIVE),
+    "lengthscales": Key(None, "floats", POSITIVE, nullable=True),
+}
+
+
+def _read_params(path: Path, kernels: MultiKernel) -> HyperParams:
+    """The hyperparameters in a params.json written by fit, checked like the
+    theta keys."""
+    try:
+        params = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"params file {path} is not valid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise ConfigError(f"params file {path} must hold a JSON object, got {params!r}")
+    p = {key: _typed(f"params {key}", spec, params.get(key)) for key, spec in _PARAMS_KEYS.items()}
+    _check_theta_length("params theta_signal", p["theta_signal"], kernels)
+    if p["lengthscales"] is not None and len(p["lengthscales"]) != kernels.n_lengthscales:
+        raise ConfigError(f"params lengthscales has {len(p['lengthscales'])} entries for "
+                          f"{kernels.n_lengthscales} lengthscale slots")
+    return HyperParams(p["theta_signal"], p["theta_noise"], p["lengthscales"])
 
 
 def config_hash(cfg: dict) -> str:
@@ -216,120 +402,27 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _build_kernels(cfg: dict) -> MultiKernel:
-    try:
-        if cfg.get("kernels"):
-            specs = tuple(KernelSpec.from_config(block) for block in cfg["kernels"])
-            return MultiKernel(specs)
-        block = {"family": cfg["kernel_family"], "lengthscales": cfg["lengthscales"]}
-        if cfg.get("matern_order") is not None:
-            block["matern_order"] = cfg["matern_order"]
-        return MultiKernel((KernelSpec.from_config(block),))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad kernel config: {exc}") from None
+def _theta(c: dict, prefix: str) -> HyperParams:
+    return HyperParams(c[f"{prefix}_signal"], c[f"{prefix}_noise"])
 
 
-def _int(key: str, raw) -> int:
-    """`raw` as an integer, else a ConfigError naming the key."""
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+def _input_dist(c: dict):
+    if c["input_kind"] == "gaussian":
+        return Gaussian(c["input_sd"])
+    return Uniform(c["input_low"], c["input_high"])
 
 
-def _int_in_range(key: str, raw, hi: int | None = None) -> int:
-    """`raw` as an integer in [1, hi] (or >= 1 without `hi`), else a
-    ConfigError naming the key."""
-    value = _int(key, raw)
-    if hi is None and value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value}")
-    if hi is not None and not 1 <= value <= hi:
-        raise ConfigError(f"{key} must be in [1, {hi}], got {value}")
-    return value
-
-
-def _batch_size(key: str, raw, n: int, scaling: str) -> int:
-    """A minibatch size from key `key`: in [1, n], and at least
-    MIN_LOG_SCALED_M when the signal slots are log-scaled."""
-    m = _int_in_range(key, raw, n)
-    if scaling == "log" and m < MIN_LOG_SCALED_M:
-        raise ConfigError(f"scaling=log requires {key} >= {MIN_LOG_SCALED_M}, got {m}")
-    return m
-
-
-def _input_dim(cfg: dict, kernels: MultiKernel | None) -> int:
-    """input_dim as a positive integer that matches the lengthscale count of
-    every RBF kernel (a Matern kernel takes any dimension)."""
-    dim = _int_in_range("input_dim", cfg["input_dim"])
-    for spec in () if kernels is None else kernels.components:
-        if spec.family == KernelFamily.RBF and spec.n_lengthscales != dim:
-            raise ConfigError(
-                f"input_dim is {dim} but an rbf kernel has {spec.n_lengthscales} lengthscales"
-            )
-    return dim
-
-
-def _build_input_dist(cfg: dict):
-    kind = cfg["input_kind"]
-    if kind == "gaussian":
-        return Gaussian(float(cfg["input_sd"]))
-    if kind == "uniform":
-        return Uniform(float(cfg["input_low"]), float(cfg["input_high"]))
-    raise ConfigError(f"unknown input_kind {kind!r}")
-
-
-def _build_theta(cfg: dict, kernels: MultiKernel, signal_key: str, noise_key: str,
-                 lengthscales: tuple[float, ...] | None = None) -> HyperParams:
-    signal = cfg[signal_key]
-    if np.isscalar(signal):
-        signal = [signal]
-    if len(signal) != kernels.n_kernels:
-        raise ConfigError(
-            f"{signal_key} has {len(signal)} entries for {kernels.n_kernels} kernels"
-        )
-    try:
-        return HyperParams(tuple(float(v) for v in signal), float(cfg[noise_key]), lengthscales)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _build_sgd_config(cfg: dict, kernels: MultiKernel, seed: int) -> SGDConfig:
-    scaling_name = cfg["scaling"]
-    if scaling_name == "linear":
-        scaling = ScalingPolicy.linear(kernels.n_kernels)
-    elif scaling_name == "log":
-        scaling = ScalingPolicy.log_signal(kernels.n_kernels, tau=float(cfg["tau"]))
+def _sgd_config(c: dict, seed: int, **run) -> SGDConfig:
+    """The SGDConfig the optimizer keys give; `run` overrides fields."""
+    n_kernels = c["kernels"].n_kernels
+    if c["scaling"] == ScalingMode.LOG_SCALED:
+        scaling = ScalingPolicy.log_signal(n_kernels, tau=c["tau"])
     else:
-        raise ConfigError(f"unknown scaling {scaling_name!r}")
-    try:
-        scheme = SamplingScheme(cfg["sampling"])
-    except ValueError:
-        raise ConfigError(f"unknown sampling scheme {cfg['sampling']!r}") from None
-    clamp = cfg["clamp"]
-    if clamp is True:
-        clamp = DEFAULT_CLAMP_BOUNDS
-    elif clamp is not None:
-        clamp = (float(clamp[0]), float(clamp[1]))
-    iterations = cfg.get("iterations")
-    epochs = cfg.get("epochs")
-    if iterations is not None:
-        epochs = None
-    try:
-        return SGDConfig(
-            m=_int("m", cfg["m"]),
-            iterations=None if iterations is None else _int("iterations", iterations),
-            epochs=None if epochs is None else _int("epochs", epochs),
-            alpha1=float(cfg["alpha1"]) if cfg.get("alpha1") is not None else 1.0,
-            learning_rate=float(cfg.get("learning_rate", 0.01)),
-            scheme=scheme,
-            scaling=scaling,
-            clamp=clamp,
-            clip=None if cfg["clip"] is None else float(cfg["clip"]),
-            seed=seed,
-            grad_norm_every=_int("grad_norm_every", cfg.get("grad_norm_every", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        scaling = ScalingPolicy.linear(n_kernels)
+    fields = dict(m=c["m"], epochs=c["epochs"], alpha1=c["alpha1"], scheme=c["sampling"],
+                  scaling=scaling, clamp=c["clamp"], clip=c["clip"], seed=seed,
+                  grad_norm_every=c["grad_norm_every"])
+    return SGDConfig(**{**fields, **run})
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -349,56 +442,33 @@ def _write_summary(out: Path, command: str, cfg: dict, started: float, extra: di
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each takes the typed config
 
-def cmd_simulate(cfg: dict, out: Path) -> dict:
-    input_dist = _build_input_dist(cfg)
-    n = _int_in_range("n", cfg["n"])
-    seed = int(cfg["seed"])
-    generator = cfg["generator"]
-    kernels = _build_kernels(cfg) if generator == "gp" else None
-    dim = _input_dim(cfg, kernels)
-    if generator == "gp":
-        theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
-        dataset = simulate_gp(kernels, theta, n, input_dist, dim, seed)
-    elif generator in BENCHMARK_FUNCTIONS:
-        dataset = simulate_function(
-            BENCHMARK_FUNCTIONS[generator], n, input_dist, dim,
-            float(cfg["noise_sd"]), seed, name=generator,
-        )
+def cmd_simulate(c: dict, out: Path) -> dict:
+    if c["generator"] == "gp":
+        dataset = simulate_gp(c["kernels"], _theta(c, "theta"), c["n"], _input_dist(c),
+                              c["input_dim"], c["seed"])
     else:
-        raise ConfigError(f"unknown generator {generator!r}")
+        dataset = simulate_function(
+            BENCHMARK_FUNCTIONS[c["generator"]], c["n"], _input_dist(c), c["input_dim"],
+            c["noise_sd"], c["seed"], name=c["generator"],
+        )
     save_csv(dataset, out / "dataset.csv")
     _atomic_write(out / "provenance.json", json.dumps(dataset.provenance, indent=2) + "\n")
     return {"rows": dataset.n, "columns": dataset.input_dim + 1}
 
 
-def _load_dataset(path_value, what: str) -> Dataset:
-    if not path_value:
-        raise ConfigError(f"{what} dataset path is required")
-    path = Path(path_value)
-    if not path.exists():
-        raise ConfigError(f"{what} dataset not found: {path}")
-    return load_csv(path)
-
-
-def cmd_fit(cfg: dict, out: Path) -> dict:
-    dataset = _load_dataset(cfg["data"], "data")
-    kernels = _build_kernels(cfg)
-    seed = int(cfg["seed"])
-    run_cfg = _build_sgd_config(cfg, kernels, seed)
-    optimizer = cfg["optimizer"]
-    learn_ls = bool(cfg["learn_lengthscales"])
-    if learn_ls and optimizer != "adam":
-        raise ConfigError("learn_lengthscales requires the adam optimizer")
-    theta0 = _build_theta(cfg, kernels, "theta0_signal", "theta0_noise")
-    if optimizer not in ("sgd", "adam"):
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
-    _batch_size("m", cfg["m"], dataset.n, cfg["scaling"])
-    if optimizer == "sgd":
-        trace = sgd_fit(dataset, kernels, run_cfg, theta0)
+def cmd_fit(c: dict, out: Path) -> dict:
+    dataset = load_csv(c["data"])
+    _check_batch_sizes("m", c["m"], dataset.n, c["scaling"])
+    length = {} if c["iterations"] is None else {"iterations": c["iterations"], "epochs": None}
+    run_cfg = _sgd_config(c, c["seed"], learning_rate=c["learning_rate"], **length)
+    theta0 = _theta(c, "theta0")
+    if c["optimizer"] == "sgd":
+        trace = sgd_fit(dataset, c["kernels"], run_cfg, theta0)
     else:
-        trace = adam_fit(dataset, kernels, run_cfg, theta0, learn_lengthscales=learn_ls)
+        trace = adam_fit(dataset, c["kernels"], run_cfg, theta0,
+                         learn_lengthscales=c["learn_lengthscales"])
     trace.to_csv(out / "trace.csv", include_timing=False)
     final = trace.final_theta
     params = {
@@ -416,33 +486,19 @@ def cmd_fit(cfg: dict, out: Path) -> dict:
     }
 
 
-def cmd_predict(cfg: dict, out: Path) -> dict:
-    train = _load_dataset(cfg["train"], "train")
-    test = _load_dataset(cfg["test"], "test")
-    kernels = _build_kernels(cfg)
-    if cfg["params"] is not None:
-        params_path = Path(cfg["params"])
-        if not params_path.exists():
-            raise ConfigError(f"params file not found: {params_path}")
-        params = json.loads(params_path.read_text())
-        lengthscales = params.get("lengthscales")
-        theta = HyperParams(
-            tuple(float(v) for v in params["theta_signal"]),
-            float(params["theta_noise"]),
-            None if lengthscales is None else tuple(float(v) for v in lengthscales),
-        )
-    else:
-        theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
-
-    strategy = cfg["strategy"]
-    if strategy == "nearest":
-        n_neighbors = _int_in_range("n_neighbors", cfg["n_neighbors"], train.n)
+def cmd_predict(c: dict, out: Path) -> dict:
+    train = load_csv(c["train"])
+    test = load_csv(c["test"])
+    kernels = c["kernels"]
+    theta = c["params"] or _theta(c, "theta")
+    if c["strategy"] == "nearest":
+        _check_batch_sizes("n_neighbors", c["n_neighbors"], train.n)
         result = predict_nn(theta, kernels, train.X, train.y, test.X,
-                            n_neighbors, build_index(train.X))
+                            c["n_neighbors"], build_index(train.X))
     else:
-        chosen = None if strategy == "auto" else PredictStrategy(strategy)
+        chosen = None if c["strategy"] == "auto" else PredictStrategy(c["strategy"])
         result = predict(theta, kernels, train.X, train.y, test.X, strategy=chosen,
-                         cg_tol=float(cfg["cg_tol"]), cg_max_iter=int(cfg["cg_max_iter"]))
+                         cg_tol=c["cg_tol"], cg_max_iter=c["cg_max_iter"])
 
     lines = ["index,mean,variance,truth,abs_err"]
     for i in range(test.n):
@@ -461,37 +517,29 @@ def cmd_predict(cfg: dict, out: Path) -> dict:
     return extra
 
 
-def cmd_diagnose(cfg: dict, out: Path) -> dict:
-    kernels = _build_kernels(cfg)
-    if kernels.n_kernels != 1:
-        raise ConfigError("diagnose uses a single kernel")
-    spec = kernels.components[0]
-    theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
-    input_dist = _build_input_dist(cfg)
-    seed = int(cfg["seed"])
-    n = _int_in_range("n", cfg["n"])
-    dim = _input_dim(cfg, kernels)
-    reports = curvature_experiment(
-        pool_size=n,
-        m_grid=[_int_in_range("m_grid", m, n) for m in cfg["m_grid"]],
-        replicates=int(cfg["replicates"]),
-        theta=theta,
-        kernel=spec,
-        input_dist=input_dist,
-        seed=seed,
-        input_dim=dim,
+def _curvature(c: dict):
+    return curvature_experiment(
+        pool_size=c["n"],
+        m_grid=list(c["m_grid"]),
+        replicates=c["replicates"],
+        theta=_theta(c, "theta"),
+        kernel=c["kernels"].components[0],
+        input_dist=_input_dist(c),
+        seed=c["seed"],
+        input_dim=c["input_dim"],
     )
+
+
+def cmd_diagnose(c: dict, out: Path) -> dict:
+    reports = _curvature(c)
     curvature_reports_to_csv(reports, out / "curvature.csv")
 
-    pool_rng_seed = derived_seed(seed, "diagnose-eigendecay")
-    X = input_dist.sample(np.random.Generator(np.random.Philox(pool_rng_seed)), n, dim)
-    spectrum = sym_eigenvalues(kernel_matrix(spec, X))
-    family = DecayFamily(cfg["decay_family"])
-    index_range = cfg["fit_index_range"]
-    fit = eigendecay_fit(
-        spectrum, n, family,
-        index_range=None if index_range is None else (int(index_range[0]), int(index_range[1])),
-    )
+    n = c["n"]
+    pool_rng_seed = derived_seed(c["seed"], "diagnose-eigendecay")
+    X = _input_dist(c).sample(np.random.Generator(np.random.Philox(pool_rng_seed)), n,
+                              c["input_dim"])
+    spectrum = sym_eigenvalues(kernel_matrix(c["kernels"].components[0], X))
+    fit = eigendecay_fit(spectrum, n, c["decay_family"], index_range=c["fit_index_range"])
     eigendecay_fits_to_csv([fit], out / "eigendecay.csv")
     return {
         "curvature_rows": len(reports),
@@ -503,51 +551,6 @@ def cmd_diagnose(cfg: dict, out: Path) -> dict:
 # ---------------------------------------------------------------------------
 # experiment studies
 
-def _simulate_pool(cfg: dict, rep: int) -> Dataset:
-    kernels = _build_kernels(cfg)
-    theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
-    data_seed = derived_seed(int(cfg["seed"]), f"{cfg['study']}:data", rep)
-    return simulate_gp(kernels, theta, int(cfg["n"]), _build_input_dist(cfg),
-                       int(cfg["input_dim"]), data_seed)
-
-
-def _fit_rep(cfg: dict, rep: int, tag: str, m: int, theta0_signal, theta0_noise,
-             alpha1: float) -> FitTrace:
-    kernels = _build_kernels(cfg)
-    dataset = _simulate_pool(cfg, rep)
-    fit_seed = derived_seed(int(cfg["seed"]), f"{cfg['study']}:{tag}", rep)
-    run_cfg = _build_sgd_config(
-        {**cfg, "m": m, "alpha1": alpha1, "iterations": None}, kernels, fit_seed
-    )
-    theta0 = HyperParams(tuple(float(v) for v in theta0_signal), float(theta0_noise))
-    return sgd_fit(dataset, kernels, run_cfg, theta0)
-
-
-def _aggregate_csv(path: Path, histories: list[np.ndarray], names: list[str]) -> None:
-    """Per-iteration mean and sd across repetitions for each traced column."""
-    stack = np.stack(histories)          # (reps, iters+1, params)
-    mean = stack.mean(axis=0)
-    sd = stack.std(axis=0, ddof=0)
-    header = ["iter"]
-    for name in names:
-        header += [f"{name}_mean", f"{name}_sd"]
-    lines = [",".join(header)]
-    for k in range(mean.shape[0]):
-        row = [str(k)]
-        for j in range(mean.shape[1]):
-            row += [repr(float(mean[k, j])), repr(float(sd[k, j]))]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _run_param_convergence_rep(payload: tuple) -> tuple:
-    cfg, rep, case_idx, theta0, alpha1 = payload
-    trace = _fit_rep(cfg, rep, f"case{case_idx}", int(cfg["m"]),
-                     theta0[:-1], theta0[-1], alpha1)
-    return (case_idx, rep, trace.theta_history(), trace.param_names,
-            trace.clamp_events, trace.clip_events)
-
-
 _PARAM_CASES = (
     # (theta0 incl. noise slot, alpha1); stepsizes follow the reference runs,
     # start points span above/below the simulated truth.
@@ -557,27 +560,88 @@ _PARAM_CASES = (
 )
 
 
-def _study_param_convergence(cfg: dict, out: Path, pool) -> dict:
-    reps = int(cfg["reps"])
-    tasks = [
-        (cfg, rep, case_idx, theta0, alpha1)
-        for case_idx, (theta0, alpha1) in enumerate(_PARAM_CASES)
-        for rep in range(reps)
-    ]
-    by_case: dict[int, list[np.ndarray]] = {i: [None] * reps for i in range(len(_PARAM_CASES))}
-    names = None
+def _fit_tasks(c: dict) -> list[tuple]:
+    """(tag, rep, m, theta0, alpha1, grad_norm_every) of every fit in a fit
+    study; the tag names the fit's seed stream and its output files."""
+    reps = range(c["reps"])
+    if c["study"] == "param-convergence":
+        return [(f"case{i}", rep, c["m"], HyperParams(theta0[:-1], theta0[-1]), alpha1,
+                 c["grad_norm_every"])
+                for i, (theta0, alpha1) in enumerate(_PARAM_CASES) for rep in reps]
+    tasks = []
+    for m in c["m_grid"]:
+        every = c["grad_norm_every"]
+        if c["study"] == "grad-convergence" and not every:
+            every = max(1, c["epochs"] * math.ceil(c["n"] / m) // 25)
+        tasks += [(f"m{m}", rep, m, _theta(c, "theta0"), c["alpha1"], every) for rep in reps]
+    return tasks
+
+
+def _fit_rep(c: dict, task: tuple) -> tuple:
+    """One repetition: simulate its data pool and run SGD from the task's
+    start. Returns the theta history, the iterations and values of the
+    recorded squared gradient norms, and the clamp and clip counts."""
+    tag, rep, m, theta0, alpha1, every = task
+    data_seed = derived_seed(c["seed"], f"{c['study']}:data", rep)
+    dataset = simulate_gp(c["kernels"], _theta(c, "theta"), c["n"], _input_dist(c),
+                          c["input_dim"], data_seed)
+    fit_seed = derived_seed(c["seed"], f"{c['study']}:{tag}", rep)
+    run_cfg = _sgd_config(c, fit_seed, m=m, alpha1=alpha1, grad_norm_every=every)
+    trace = sgd_fit(dataset, c["kernels"], run_cfg, theta0)
+    iters = np.flatnonzero(trace.grad_norm_recorded)
+    return (trace.theta_history(), iters, trace.grad_norm_sq[iters],
+            trace.clamp_events, trace.clip_events)
+
+
+def _map(fn, tasks: list, jobs: int):
+    """fn over tasks in order; in `jobs` processes when jobs > 1."""
+    if jobs <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
+        yield from ex.map(fn, tasks)
+
+
+def _study_fits(c: dict, out: Path, jobs: int) -> dict:
+    """param-convergence, vary-m and grad-convergence. Writes each
+    repetition's theta trace, then per tag the mean and sd across
+    repetitions of theta, or for grad-convergence of the recorded squared
+    gradient norm, and returns the event totals."""
+    tasks = _fit_tasks(c)
+    names = param_names(c["kernels"], tasks[0][3])
+    runs: dict[str, list] = {}
     clamp_total = clip_total = 0
-    for case_idx, rep, history, rec_names, clamps, clips in pool(
-            _run_param_convergence_rep, tasks):
-        by_case[case_idx][rep] = history
-        names = rec_names
+    for (tag, rep, *_), (history, iters, norms, clamps, clips) in zip(
+            tasks, _map(partial(_fit_rep, c), tasks, jobs)):
+        runs.setdefault(tag, [None] * c["reps"])[rep] = (history, iters, norms)
         clamp_total += clamps
         clip_total += clips
-        _write_history_csv(out / f"case{case_idx}_rep{rep}_trace.csv", history, rec_names)
-    for case_idx, histories in by_case.items():
-        _aggregate_csv(out / f"case{case_idx}_aggregate.csv", histories, names)
-    return {"cases": len(_PARAM_CASES), "reps": reps,
-            "clamp_events": clamp_total, "clip_events": clip_total}
+        _write_history_csv(out / f"{tag}_rep{rep}_trace.csv", history, names)
+    grad = c["study"] == "grad-convergence"
+    final_means = {}
+    for tag, results in runs.items():
+        if grad:
+            norms = np.stack([r[2] for r in results])     # (reps, recorded)
+            # Each column is reduced as a 1-D array: a reduction over axis 0
+            # adds in another order and changes the last bits from 8 reps on.
+            mean = [[col.mean()] for col in norms.T]
+            sd = [[col.std(ddof=0)] for col in norms.T]
+            _aggregate_csv(out / f"{tag}_aggregate.csv", results[0][1], mean, sd,
+                           ["grad_norm_sq"])
+            final_means[tag] = float(mean[-1][0])
+        else:
+            stack = np.stack([r[0] for r in results])     # (reps, iters+1, params)
+            _aggregate_csv(out / f"{tag}_aggregate.csv", range(stack.shape[1]),
+                           stack.mean(axis=0), stack.std(axis=0, ddof=0), names)
+    if c["study"] == "param-convergence":
+        summary = {"cases": len(_PARAM_CASES)}
+    else:
+        summary = {"m_grid": list(c["m_grid"])}
+    summary.update(reps=c["reps"], clamp_events=clamp_total, clip_events=clip_total)
+    if grad:
+        summary["final_grad_norm_sq_means"] = {
+            str(m): repr(final_means[f"m{m}"]) for m in c["m_grid"]}
+    return summary
 
 
 def _write_history_csv(path: Path, history: np.ndarray, names: list[str]) -> None:
@@ -587,158 +651,40 @@ def _write_history_csv(path: Path, history: np.ndarray, names: list[str]) -> Non
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _run_grad_convergence_rep(payload: tuple) -> tuple:
-    cfg, rep, m = payload
-    kernels = _build_kernels(cfg)
-    dataset = _simulate_pool(cfg, rep)
-    fit_seed = derived_seed(int(cfg["seed"]), f"{cfg['study']}:m{m}", rep)
-    iterations = int(cfg["epochs"]) * math.ceil(int(cfg["n"]) / m)
-    every = int(cfg["grad_norm_every"]) or max(1, iterations // 25)
-    run_cfg = _build_sgd_config(
-        {**cfg, "m": m, "iterations": None, "grad_norm_every": every}, kernels, fit_seed
-    )
-    theta0 = HyperParams(tuple(float(v) for v in cfg["theta0_signal"]),
-                         float(cfg["theta0_noise"]))
-    trace = sgd_fit(dataset, kernels, run_cfg, theta0)
-    iters = np.flatnonzero(trace.grad_norm_recorded)
-    norms = trace.grad_norm_sq[iters]
-    return (m, rep, iters, norms, trace.theta_history(), trace.param_names,
-            trace.clamp_events, trace.clip_events)
+def _aggregate_csv(path: Path, iters, mean, sd, names: list[str]) -> None:
+    """One row per iteration: the mean and sd across repetitions of each
+    named column."""
+    header = ["iter"] + [f"{name}_{stat}" for name in names for stat in ("mean", "sd")]
+    lines = [",".join(header)]
+    for k, mean_row, sd_row in zip(iters, mean, sd):
+        values = [repr(float(v)) for pair in zip(mean_row, sd_row) for v in pair]
+        lines.append(",".join([str(int(k))] + values))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _study_grad_convergence(cfg: dict, out: Path, pool) -> dict:
-    reps = int(cfg["reps"])
-    m_grid = [int(m) for m in cfg["m_grid"]]
-    tasks = [(cfg, rep, m) for m in m_grid for rep in range(reps)]
-    collected: dict[int, list] = {m: [None] * reps for m in m_grid}
-    clamp_total = clip_total = 0
-    for m, rep, iters, norms, history, names, clamps, clips in pool(
-            _run_grad_convergence_rep, tasks):
-        collected[m][rep] = (iters, norms)
-        clamp_total += clamps
-        clip_total += clips
-        _write_history_csv(out / f"m{m}_rep{rep}_trace.csv", history, names)
-    final_means = {}
-    for m in m_grid:
-        iters = collected[m][0][0]
-        stack = np.stack([norms for _, norms in collected[m]])
-        lines = ["iter,grad_norm_sq_mean,grad_norm_sq_sd"]
-        for i, k in enumerate(iters):
-            lines.append(
-                f"{int(k)},{repr(float(stack[:, i].mean()))},{repr(float(stack[:, i].std(ddof=0)))}"
-            )
-        _atomic_write(out / f"m{m}_aggregate.csv", "\n".join(lines) + "\n")
-        final_means[m] = float(stack[:, -1].mean())
-    return {"m_grid": m_grid, "reps": reps,
-            "clamp_events": clamp_total, "clip_events": clip_total,
-            "final_grad_norm_sq_means": {str(m): repr(v) for m, v in final_means.items()}}
-
-
-def _run_vary_m_rep(payload: tuple) -> tuple:
-    cfg, rep, m = payload
-    trace = _fit_rep(cfg, rep, f"m{m}", m, cfg["theta0_signal"], cfg["theta0_noise"],
-                     float(cfg["alpha1"]))
-    return (m, rep, trace.theta_history(), trace.param_names,
-            trace.clamp_events, trace.clip_events)
-
-
-def _study_vary_m(cfg: dict, out: Path, pool) -> dict:
-    reps = int(cfg["reps"])
-    m_grid = [int(m) for m in cfg["m_grid"]]
-    tasks = [(cfg, rep, m) for m in m_grid for rep in range(reps)]
-    by_m: dict[int, list] = {m: [None] * reps for m in m_grid}
-    names = None
-    clamp_total = clip_total = 0
-    for m, rep, history, rec_names, clamps, clips in pool(_run_vary_m_rep, tasks):
-        by_m[m][rep] = history
-        names = rec_names
-        clamp_total += clamps
-        clip_total += clips
-        _write_history_csv(out / f"m{m}_rep{rep}_trace.csv", history, rec_names)
-    for m, histories in by_m.items():
-        _aggregate_csv(out / f"m{m}_aggregate.csv", histories, names)
-    return {"m_grid": m_grid, "reps": reps,
-            "clamp_events": clamp_total, "clip_events": clip_total}
-
-
-def _study_curvature(cfg: dict, out: Path, pool) -> dict:
-    kernels = _build_kernels(cfg)
-    if kernels.n_kernels != 1:
-        raise ConfigError("the curvature study uses a single kernel")
-    theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
-    reports = curvature_experiment(
-        pool_size=int(cfg["n"]),
-        m_grid=[int(m) for m in cfg["m_grid"]],
-        replicates=int(cfg["replicates"]),
-        theta=theta,
-        kernel=kernels.components[0],
-        input_dist=_build_input_dist(cfg),
-        seed=int(cfg["seed"]),
-        input_dim=int(cfg["input_dim"]),
-    )
-    curvature_reports_to_csv(reports, out / "curvature.csv")
-    return {"rows": len(reports)}
-
-
-def _study_lengthscale_monotone(cfg: dict, out: Path, pool) -> dict:
-    kernels = _build_kernels(cfg)
-    theta = _build_theta(cfg, kernels, "theta_signal", "theta_noise")
-    m = int(cfg["surrogate_m"])
-    grid = [float(l) for l in cfg["lengthscale_grid"]]
-    if sorted(grid) != grid:
-        raise ConfigError("lengthscale_grid must be ascending")
-    sd = float(cfg["input_sd"])
-    values = []
-    lines = ["lengthscale,gamma_tilde"]
-    for l in grid:
-        lam = gaussian_kernel_eigenvalues(sd, l, m)
-        value = surrogate_curvature(theta, lam, m)
-        values.append(value)
-        lines.append(f"{repr(l)},{repr(value)}")
+def _study_lengthscale_monotone(c: dict, out: Path) -> dict:
+    theta = _theta(c, "theta")
+    m = c["surrogate_m"]
+    grid = list(c["lengthscale_grid"])
+    values = [surrogate_curvature(theta, gaussian_kernel_eigenvalues(c["input_sd"], l, m), m)
+              for l in grid]
+    lines = ["lengthscale,gamma_tilde"] + [f"{l!r},{v!r}" for l, v in zip(grid, values)]
     _atomic_write(out / "lengthscale_curvature.csv", "\n".join(lines) + "\n")
-    diffs = np.diff(values)
-    if np.any(diffs < 0):
+    if np.any(np.diff(values) < 0):
         raise RuntimeError(
             f"surrogate curvature is not nondecreasing over the lengthscale grid: {values}"
         )
     return {"grid": grid, "monotone": True}
 
 
-_STUDY_RUNNERS = {
-    "param-convergence": _study_param_convergence,
-    "grad-convergence": _study_grad_convergence,
-    "vary-m": _study_vary_m,
-    "curvature": _study_curvature,
-    "lengthscale-monotone": _study_lengthscale_monotone,
-}
-
-
-def cmd_experiment(cfg: dict, out: Path, jobs: int) -> dict:
-    study = cfg["study"]
-    if study not in STUDIES:
-        raise ConfigError(f"unknown study {study!r}; choose from {list(STUDIES)}")
-    # Sizes are checked here, before any repetition runs.
-    if study != "lengthscale-monotone":
-        n = _int_in_range("n", cfg["n"])
-        _input_dim(cfg, _build_kernels(cfg))
-    if study == "param-convergence":
-        _batch_size("m", cfg["m"], n, cfg["scaling"])
-    elif study in ("vary-m", "grad-convergence"):
-        for m in cfg["m_grid"]:
-            _batch_size("m_grid", m, n, cfg["scaling"])
-    elif study == "curvature":
-        for m in cfg["m_grid"]:
-            _int_in_range("m_grid", m, n)
-
-    def pool(fn, tasks):
-        if jobs <= 1 or len(tasks) <= 1:
-            for task in tasks:
-                yield fn(task)
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                yield from ex.map(fn, tasks)
-
-    return _STUDY_RUNNERS[study](cfg, out, pool)
+def cmd_experiment(c: dict, out: Path, jobs: int) -> dict:
+    if c["study"] == "curvature":
+        reports = _curvature(c)
+        curvature_reports_to_csv(reports, out / "curvature.csv")
+        return {"rows": len(reports)}
+    if c["study"] == "lengthscale-monotone":
+        return _study_lengthscale_monotone(c, out)
+    return _study_fits(c, out, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -761,10 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
+        if name == "experiment":
+            p.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (JSON-parsed value)")
     return parser
+
+
+_COMMANDS = {"simulate": cmd_simulate, "fit": cmd_fit, "predict": cmd_predict,
+             "diagnose": cmd_diagnose}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -772,19 +723,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        cfg = resolve_config(args.command, args)
+        cfg, typed = resolve_config(args.command, args)
+        if args.command == "experiment" and args.jobs < 1:
+            raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            extra = cmd_simulate(cfg, out)
-        elif args.command == "fit":
-            extra = cmd_fit(cfg, out)
-        elif args.command == "predict":
-            extra = cmd_predict(cfg, out)
-        elif args.command == "diagnose":
-            extra = cmd_diagnose(cfg, out)
+        if args.command == "experiment":
+            extra = cmd_experiment(typed, out, args.jobs)
         else:
-            extra = cmd_experiment(cfg, out, args.jobs)
+            extra = _COMMANDS[args.command](typed, out)
         _write_summary(out, args.command, cfg, started, extra)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

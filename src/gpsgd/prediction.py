@@ -51,13 +51,21 @@ class PredictionResult:
     cg_iterations: list[int] | None = None
 
 
-def _prepare(theta, kernels, X_train, X_test):
+def _as_inputs(X_train, X_test):
+    """Training and test inputs as float64 matrices, one row per point. A
+    1-D training array is one-dimensional points; a 1-D test array is too
+    when the training points are, and is one point otherwise."""
     X_train = np.asarray(X_train, dtype=np.float64)
     X_test = np.asarray(X_test, dtype=np.float64)
     if X_train.ndim == 1:
         X_train = X_train[:, None]
     if X_test.ndim == 1:
         X_test = X_test[:, None] if X_train.shape[1] == 1 else X_test[None, :]
+    return X_train, X_test
+
+
+def _prepare(theta, kernels, X_train, X_test):
+    X_train, X_test = _as_inputs(X_train, X_test)
     eff = effective_kernels(kernels, theta)
     k_star = np.zeros((X_train.shape[0], X_test.shape[0]))
     for variance, spec in zip(theta.signal_variances, eff.components):
@@ -150,13 +158,8 @@ def predict_nn(
 ) -> PredictionResult:
     """Prediction conditioning each test point on only its n_neighbors
     nearest training points."""
-    X_train = np.asarray(X_train, dtype=np.float64)
+    X_train, X_test = _as_inputs(X_train, X_test)
     y_train = np.asarray(y_train, dtype=np.float64)
-    if X_train.ndim == 1:
-        X_train = X_train[:, None]
-    X_test = np.asarray(X_test, dtype=np.float64)
-    if X_test.ndim == 1:
-        X_test = X_test[:, None] if X_train.shape[1] == 1 else X_test[None, :]
     n = X_train.shape[0]
     if not 1 <= n_neighbors <= n:
         raise ValueError(f"n_neighbors must be in [1, {n}], got {n_neighbors}")

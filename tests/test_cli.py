@@ -165,15 +165,79 @@ def test_log_scaling_needs_three_points_per_batch(tmp_path, capsys):
     ("diagnose", ["n=64", "input_dim=2"], "input_dim is 2 but an rbf kernel has 1 lengthscales"),
     ("experiment", ["study=vary-m", "n=64", "m_grid=[8]", "input_dim=2"],
      "input_dim is 2 but an rbf kernel has 1 lengthscales"),
+    ("simulate", ["n=2.5"], "n must be an integer, got 2.5"),
+    ("simulate", ["n=true"], "n must be an integer, got True"),
+    ("simulate", ["input_sd=abc"], "input_sd must be a finite number, got 'abc'"),
+    ("fit", ["data={csv}", "m=16.9"], "m must be an integer, got 16.9"),
+    ("fit", ["data={csv}", "clamp=[1]"], "clamp must be [lo, hi] with lo < hi, got [1.0]"),
+    ("fit", ["data={csv}", "clamp=abc"], "clamp must be true or [lo, hi], got 'abc'"),
+    ("fit", ["data={csv}", "scaling=log", "tau=abc"], "tau must be a finite number, got 'abc'"),
+    ("predict", ["train={csv}", "test={csv}", "strategy=bogus"],
+     "strategy must be one of ['auto', 'exact', 'cg', 'nearest'], got 'bogus'"),
+    ("predict", ["train={csv}", "test={csv}", "cg_max_iter=abc"],
+     "cg_max_iter must be an integer, got 'abc'"),
+    ("diagnose", ["replicates=0"], "replicates must be a positive integer, got 0"),
+    ("diagnose", ["decay_family=linear"],
+     "decay_family must be one of ['exponential', 'polynomial'], got 'linear'"),
+    ("diagnose", ["fit_index_range=[5,2]"], "fit_index_range must be [lo, hi] with lo < hi"),
+    ("experiment", ["study=vary-m", "reps=0"], "reps must be a positive integer, got 0"),
+    ("experiment", ["study=grad-convergence", "reps=0"], "reps must be a positive integer, got 0"),
+    ("experiment", ["study=lengthscale-monotone", "surrogate_m=0"],
+     "surrogate_m must be a positive integer, got 0"),
 ], ids=["simulate-n-abc", "simulate-n-0", "diagnose-n-0", "experiment-n-0",
-        "simulate-input-dim", "diagnose-input-dim", "experiment-input-dim"])
+        "simulate-input-dim", "diagnose-input-dim", "experiment-input-dim",
+        "simulate-n-fraction", "simulate-n-bool", "simulate-input-sd-text", "fit-m-fraction",
+        "fit-clamp-one-bound", "fit-clamp-text", "fit-log-tau-text", "predict-strategy",
+        "predict-cg-max-iter-text", "diagnose-replicates-0", "diagnose-decay-family",
+        "diagnose-index-range-reversed", "vary-m-reps-0", "grad-convergence-reps-0",
+        "monotone-surrogate-m-0"])
 def test_bad_n_or_input_dim_exits_two(tmp_path, capsys, command, settings, message):
+    csv = simulate_small(tmp_path) / "dataset.csv" if command in ("fit", "predict") else None
     args = [command, "--out", tmp_path / "bad", "--seed", 1]
     for kv in settings:
-        args += ["--set", kv]
+        args += ["--set", kv.format(csv=csv)]
     assert run(args) == 2
     assert message in capsys.readouterr().err
     assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"theta_signal": [1, 2], "theta_noise": 1}', "params theta_signal has 2 entries for 1 kernels"),
+    ('{"theta_noise": 1}', "params theta_signal is required"),
+    ('{"theta_signal": [1], "theta_noise": 1, "lengthscales": [0.5, 0.5]}',
+     "params lengthscales has 2 entries for 1 lengthscale slots"),
+    ("[1, 2]", "must hold a JSON object, got [1, 2]"),
+    ("not json", "is not valid JSON"),
+], ids=["two-signal-variances", "no-signal", "two-lengthscales", "list", "text"])
+def test_bad_params_file_exits_two(tmp_path, capsys, content, message):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    params = tmp_path / "params.json"
+    params.write_text(content)
+    assert run(["predict", "--out", tmp_path / "bad", "--set", f"train={csv}",
+                "--set", f"test={csv}", "--set", f"params={params}"]) == 2
+    err = capsys.readouterr().err
+    assert "params" in err and message in err
+    assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+def test_jobs_is_an_experiment_flag(tmp_path, capsys):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--out", tmp_path / "fit", "--set", f"data={csv}", "--jobs", 2])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+    assert run(["experiment", "--out", tmp_path / "x", "--seed", 1, "--jobs", 0,
+                "--set", "study=lengthscale-monotone"]) == 2
+    assert "--jobs must be a positive integer" in capsys.readouterr().err
+
+
+def test_checking_keeps_the_config_hash(tmp_path):
+    # theta_signal=4 is read as [4.0]; the hash is of the config as given
+    out = tmp_path / "sim"
+    assert run(["simulate", "--out", out, "--seed", 1, "--set", "n=8",
+                "--set", "theta_signal=4"]) == 0
+    assert "config_hash: 868214d1cf8f59c2\n" in (out / "summary.txt").read_text()
 
 
 def test_predict_cg_summary_reports_iterations(tmp_path):
@@ -287,9 +351,14 @@ def test_experiment_param_convergence_outputs(tmp_path):
     assert (out / "case2_rep1_trace.csv").exists()
 
 
-def test_experiment_rerun_and_jobs_parity(tmp_path):
-    args = ["experiment", "--seed", 8, "--set", "study=vary-m", "--set", "n=48",
-            "--set", "m_grid=[8,16]", "--set", "epochs=1", "--set", "reps=2"]
+@pytest.mark.parametrize("study, sizes", [
+    ("param-convergence", "m=8"),
+    ("grad-convergence", "m_grid=[8,16]"),
+    ("vary-m", "m_grid=[8,16]"),
+])
+def test_experiment_rerun_and_jobs_parity(tmp_path, study, sizes):
+    args = ["experiment", "--seed", 8, "--set", f"study={study}", "--set", "n=48",
+            "--set", sizes, "--set", "epochs=1", "--set", "reps=2"]
     serial1, serial2, parallel = tmp_path / "s1", tmp_path / "s2", tmp_path / "par"
     assert run(args + ["--out", serial1]) == 0
     assert run(args + ["--out", serial2]) == 0
