@@ -351,12 +351,7 @@ def test_experiment_param_convergence_outputs(tmp_path):
     assert (out / "case2_rep1_trace.csv").exists()
 
 
-@pytest.mark.parametrize("study, sizes", [
-    ("param-convergence", "m=8"),
-    ("grad-convergence", "m_grid=[8,16]"),
-    ("vary-m", "m_grid=[8,16]"),
-])
-def test_experiment_rerun_and_jobs_parity(tmp_path, study, sizes):
+def check_rerun_and_jobs_parity(tmp_path, study, sizes):
     args = ["experiment", "--seed", 8, "--set", f"study={study}", "--set", "n=48",
             "--set", sizes, "--set", "epochs=1", "--set", "reps=2"]
     serial1, serial2, parallel = tmp_path / "s1", tmp_path / "s2", tmp_path / "par"
@@ -365,6 +360,18 @@ def test_experiment_rerun_and_jobs_parity(tmp_path, study, sizes):
     assert run(args + ["--out", parallel, "--jobs", 2]) == 0
     assert read_csvs(serial1) == read_csvs(serial2)
     assert read_csvs(serial1) == read_csvs(parallel)
+
+
+def test_experiment_rerun_and_jobs_parity(tmp_path):
+    check_rerun_and_jobs_parity(tmp_path, "vary-m", "m_grid=[8,16]")
+
+
+@pytest.mark.parametrize("study, sizes", [
+    ("param-convergence", "m=8"),
+    ("grad-convergence", "m_grid=[8,16]"),
+])
+def test_experiment_rerun_and_jobs_parity_other_studies(tmp_path, study, sizes):
+    check_rerun_and_jobs_parity(tmp_path, study, sizes)
 
 
 def test_config_file_with_flag_override(tmp_path):
