@@ -30,6 +30,7 @@ import numpy as np
 
 from .data import (
     BENCHMARK_FUNCTIONS,
+    Dataset,
     Gaussian,
     Uniform,
     load_csv,
@@ -356,6 +357,24 @@ def _check_rules(command: str, c: dict) -> None:
     elif study == "lengthscale-monotone" and sorted(c["lengthscale_grid"]) != list(
             c["lengthscale_grid"]):
         raise ConfigError("lengthscale_grid must be ascending")
+    if study == "lengthscale-monotone" and c["input_kind"] != "gaussian":
+        raise ConfigError("input_kind must be gaussian for lengthscale-monotone: its "
+                          "eigenvalues are those of Gaussian inputs")
+    if study == "param-convergence":
+        for key in ("theta0_signal", "theta0_noise", "alpha1"):
+            spec = KEYS["experiment"][key]
+            if c[key] != _typed(key, spec, spec.default):
+                raise ConfigError(f"{key} does not apply to param-convergence, which runs "
+                                  f"its {len(_PARAM_CASES)} fixed start points and step sizes")
+
+
+def _load_dataset(c: dict, key: str) -> Dataset:
+    """The dataset CSV that `key` names; a file load_csv rejects is a bad
+    value of that key."""
+    try:
+        return load_csv(c[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _check_theta_length(key: str, signal: tuple, kernels: MultiKernel) -> None:
@@ -459,7 +478,7 @@ def cmd_simulate(c: dict, out: Path) -> dict:
 
 
 def cmd_fit(c: dict, out: Path) -> dict:
-    dataset = load_csv(c["data"])
+    dataset = _load_dataset(c, "data")
     _check_batch_sizes("m", c["m"], dataset.n, c["scaling"])
     length = {} if c["iterations"] is None else {"iterations": c["iterations"], "epochs": None}
     run_cfg = _sgd_config(c, c["seed"], learning_rate=c["learning_rate"], **length)
@@ -487,8 +506,8 @@ def cmd_fit(c: dict, out: Path) -> dict:
 
 
 def cmd_predict(c: dict, out: Path) -> dict:
-    train = load_csv(c["train"])
-    test = load_csv(c["test"])
+    train = _load_dataset(c, "train")
+    test = _load_dataset(c, "test")
     kernels = c["kernels"]
     theta = c["params"] or _theta(c, "theta")
     if c["strategy"] == "nearest":

@@ -157,7 +157,8 @@ def predict_nn(
     index: SpatialIndex,
 ) -> PredictionResult:
     """Prediction conditioning each test point on only its n_neighbors
-    nearest training points."""
+    nearest training points: one batched neighbor query for all test
+    points, then an exact prediction per point."""
     X_train, X_test = _as_inputs(X_train, X_test)
     y_train = np.asarray(y_train, dtype=np.float64)
     n = X_train.shape[0]
@@ -168,8 +169,7 @@ def predict_nn(
 
     mean = np.empty(X_test.shape[0])
     variance = np.empty(X_test.shape[0])
-    for t in range(X_test.shape[0]):
-        neighbors = index.query(X_test[t], n_neighbors)
+    for t, neighbors in enumerate(index.query_many(X_test, n_neighbors)):
         local = predict(
             theta, kernels, X_train[neighbors], y_train[neighbors], X_test[t:t + 1],
             strategy=PredictStrategy.EXACT,

@@ -4,6 +4,16 @@ subsets found with scipy's cKDTree.
 Queries are exact k-nearest-neighbor searches under Euclidean distance. Ties
 are broken by smaller index so query results have a total order and every
 batch is reproducible.
+
+One rule ranks every query, and a query of many points applies it to all of
+them at once. One tree call fetches each point's k + 1 nearest rows; each
+row's candidates are ranked by squared distance, computed as the sum of
+squared coordinate differences, then by index, and the first k kept. The
+tree picks arbitrarily among points tied at its k-th distance, so a point
+whose (k + 1)-th distance is within _RADIUS_SLACK of its k-th falls back to
+gathering every row within that radius and ranking all of them. A point
+with a clear gap already has all k of its answers among the candidates:
+every other row is farther than the (k + 1)-th.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ class Minibatch:
 # Relative widening of the k-th distance; far above the few ulps by which the
 # tree's distances can differ from the einsum ones.
 _RADIUS_SLACK = 1.0 + 1e-9
+# Candidate rows ranked at once by query_many: bounds its (rows, k + 1, D)
+# difference array.
+_QUERY_BLOCK = 1 << 18
 
 
 class SpatialIndex:
@@ -74,16 +87,37 @@ class SpatialIndex:
             raise ValueError(
                 f"query point has shape {point.shape}, expected ({self.points.shape[1]},)"
             )
+        return self.query_many(point[None, :], k)[0]
+
+    def query_many(self, points: np.ndarray, k: int) -> np.ndarray:
+        """Row r: `query(points[r], k)`, for all rows in one tree call."""
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != self.points.shape[1]:
+            raise ValueError(
+                f"query points have shape {points.shape}, expected (t, {self.points.shape[1]})"
+            )
         if not 1 <= k <= self.n:
             raise ValueError(f"k must be in [1, {self.n}], got {k}")
-        # The tree returns an arbitrary subset of the points tied at the k-th
-        # distance, so gather every point within it (with slack for the tree's
-        # own rounding) and rank them by exact squared distance, then index.
-        (kth,), _ = self._tree.query(point, [k])
-        cand = np.asarray(self._tree.query_ball_point(point, kth * _RADIUS_SLACK), dtype=np.intp)
-        diff = self.points[cand] - point
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        return cand[np.lexsort((cand, d2))[:k]]
+        rows = max(1, _QUERY_BLOCK // (k + 1))
+        if points.shape[0] > rows:
+            return np.concatenate([self.query_many(points[i:i + rows], k)
+                                   for i in range(0, points.shape[0], rows)])
+        if k == self.n:
+            cand = np.broadcast_to(np.arange(self.n), (points.shape[0], self.n))
+            return self._ranked(points, cand)
+        dist, cand = self._tree.query(points, k + 1)
+        out = self._ranked(points, cand)[:, :k]
+        for r in np.flatnonzero(dist[:, k] <= dist[:, k - 1] * _RADIUS_SLACK):
+            ball = self._tree.query_ball_point(points[r], dist[r, k - 1] * _RADIUS_SLACK)
+            out[r] = self._ranked(points[r:r + 1], np.asarray(ball, dtype=np.intp)[None, :])[0, :k]
+        return out
+
+    def _ranked(self, points: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Each row of `cand` ordered by squared distance to its point, then
+        by index."""
+        diff = self.points[cand] - points[:, None, :]
+        d2 = np.einsum("rij,rij->ri", diff, diff)
+        return np.take_along_axis(cand, np.lexsort((cand, d2)), axis=1)
 
 
 def build_index(X: np.ndarray) -> SpatialIndex:
@@ -91,26 +125,46 @@ def build_index(X: np.ndarray) -> SpatialIndex:
     return SpatialIndex(X)
 
 
-def uniform_minibatch(n: int, m: int, rng: np.random.Generator) -> Minibatch:
+def uniform_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m distinct indices from [0, n), every size-m subset equiprobable."""
     _check_sizes(n, m)
-    indices = rng.choice(n, size=m, replace=False)
-    return Minibatch(tuple(int(i) for i in indices), SamplingScheme.UNIFORM)
+    return rng.choice(n, size=m, replace=False)
+
+
+def uniform_minibatch(n: int, m: int, rng: np.random.Generator) -> Minibatch:
+    """`uniform_indices` as a Minibatch."""
+    return Minibatch(tuple(uniform_indices(n, m, rng).tolist()), SamplingScheme.UNIFORM)
+
+
+def nearby_batches(index: SpatialIndex, centers: np.ndarray, m: int) -> np.ndarray:
+    """Row r: centers[r], then its m-1 nearest other rows in query order.
+
+    The center leaves its own neighbor list; when m of its duplicates with
+    smaller indices fill that list without it, the last one leaves instead.
+    """
+    centers = np.asarray(centers, dtype=np.intp)
+    _check_sizes(index.n, m)
+    if centers.ndim != 1 or np.any((centers < 0) | (centers >= index.n)):
+        raise ValueError(f"centers must be a vector of indices in [0, {index.n})")
+    if m == 1:
+        return centers[:, None].copy()
+    near = index.query_many(index.points[centers], m)
+    others = near != centers[:, None]
+    others &= np.cumsum(others, axis=1) < m
+    return np.column_stack((centers, near[others].reshape(-1, m - 1)))
 
 
 def nearby_minibatch(
     index: SpatialIndex, n: int, m: int, rng: np.random.Generator
 ) -> Minibatch:
-    """A uniformly drawn center plus its m-1 exact nearest neighbors."""
+    """A uniformly drawn center plus its m-1 exact nearest neighbors: the
+    one-center case of `nearby_batches`."""
     _check_sizes(n, m)
     if index.n != n:
         raise ValueError(f"index covers {index.n} points, expected {n}")
     center = int(rng.integers(n))
-    if m == 1:
-        return Minibatch((center,), SamplingScheme.NEARBY, center_index=center)
-    neighbors = index.query(index.points[center], m)
-    others = [int(i) for i in neighbors if int(i) != center][:m - 1]
-    return Minibatch((center, *others), SamplingScheme.NEARBY, center_index=center)
+    batch = nearby_batches(index, [center], m)[0]
+    return Minibatch(tuple(batch.tolist()), SamplingScheme.NEARBY, center_index=center)
 
 
 def draw_minibatch(

@@ -36,7 +36,14 @@ from .kernels import (
     param_names,
 )
 from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
-from .sampling import Minibatch, SamplingScheme, SpatialIndex, build_index, draw_minibatch
+from .sampling import (
+    Minibatch,
+    SamplingScheme,
+    SpatialIndex,
+    build_index,
+    nearby_batches,
+    uniform_indices,
+)
 from .seeds import iteration_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -51,6 +58,9 @@ ADAM_EPS = 1e-8
 
 # Log-scaled signal slots need at least this many points per minibatch.
 MIN_LOG_SCALED_M = 3
+
+# Nearby batches a fit draws ahead at a time.
+SCHEDULE_CHUNK = 1024
 
 
 class ScalingMode(str, Enum):
@@ -332,7 +342,16 @@ def stochastic_gradient(
 
 class _FitLoop:
     """Shared bookkeeping for both optimizers: batch drawing, clipping,
-    clamping, trace recording, and failure wrapping."""
+    clamping, trace recording, and failure wrapping.
+
+    The batch of iteration k is the one `draw_minibatch` draws from
+    `iteration_rng(seed, k)`, and its gradient is `stochastic_gradient`'s
+    at the same theta, bit for bit. The loop takes them by a shorter road:
+    nearby batches come SCHEDULE_CHUNK iterations at a time from one
+    `nearby_batches` call on the centers of those iterations' streams, the
+    divisors are computed once, and `_gradient_core` gets the batch rows
+    directly.
+    """
 
     def __init__(
         self,
@@ -364,9 +383,11 @@ class _FitLoop:
         self.start = time.perf_counter()
         self.clamp_events = 0
         self.clip_events = 0
-        # Fail fast on inconsistent scaling before iterating.
-        self.scaling.divisors(config.m, self.n_kernels,
-                              0 if not self.has_lengthscales else len(theta0.lengthscales))
+        # Fails fast on inconsistent scaling before iterating.
+        self.divisors = self.scaling.divisors(
+            config.m, self.n_kernels, 0 if not self.has_lengthscales else len(theta0.lengthscales))
+        self.schedule = np.empty((0, config.m), dtype=np.intp)
+        self.schedule_start = 1
 
     def record(self, k: int, theta_vec: np.ndarray, step: float, grad: np.ndarray | None) -> None:
         """Store row k: the iterate after step k, its step size and gradient,
@@ -402,12 +423,24 @@ class _FitLoop:
     def theta_of(self, vec: np.ndarray) -> HyperParams:
         return HyperParams.from_vector(vec, self.n_kernels, self.has_lengthscales)
 
+    def batch_indices(self, k: int) -> np.ndarray:
+        """Row indices of iteration k's batch."""
+        seed, m = self.config.seed, self.config.m
+        if self.index is None:
+            return uniform_indices(self.n, m, iteration_rng(seed, k))
+        row = k - self.schedule_start
+        if row >= self.schedule.shape[0]:
+            stop = min(k + SCHEDULE_CHUNK, self.iterations + 1)
+            centers = [iteration_rng(seed, j).integers(self.n) for j in range(k, stop)]
+            self.schedule = nearby_batches(self.index, centers, m)
+            self.schedule_start, row = k, 0
+        return self.schedule[row]
+
     def batch_gradient(self, k: int, theta_vec: np.ndarray) -> np.ndarray:
-        rng = iteration_rng(self.config.seed, k)
-        batch = draw_minibatch(self.config.scheme, self.n, self.config.m, rng, self.index)
+        idx = self.batch_indices(k)
         try:
-            grad = stochastic_gradient(
-                self.theta_of(theta_vec), self.kernels, batch, self.X, self.y, self.scaling
+            grad = _gradient_core(
+                self.theta_of(theta_vec), self.kernels, self.X[idx], self.y[idx], self.divisors
             )
         except NotPositiveDefiniteError as exc:
             raise FitDivergedError(

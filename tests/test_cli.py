@@ -220,6 +220,49 @@ def test_bad_params_file_exits_two(tmp_path, capsys, content, message):
     assert not list((tmp_path / "bad").glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, key", [("fit", "data"), ("predict", "train"),
+                                          ("predict", "test")])
+def test_rejected_dataset_csv_exits_two(tmp_path, capsys, command, key):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n")
+    files = {"fit": {"data": csv}, "predict": {"train": csv, "test": csv}}[command]
+    files[key] = bad
+    args = [command, "--out", tmp_path / "out"]
+    for name, path in files.items():
+        args += ["--set", f"{name}={path}"]
+    assert run(args) == 2
+    assert f"error: {key}: {bad}: header must be x1,...,xD,y" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["study=lengthscale-monotone", "input_kind=uniform"],
+     "input_kind must be gaussian for lengthscale-monotone"),
+    (["study=param-convergence", "theta0_signal=[2]"],
+     "theta0_signal does not apply to param-convergence"),
+    (["study=param-convergence", "theta0_noise=1"],
+     "theta0_noise does not apply to param-convergence"),
+    (["study=param-convergence", "alpha1=3"], "alpha1 does not apply to param-convergence"),
+], ids=["monotone-uniform-inputs", "param-theta0-signal", "param-theta0-noise",
+        "param-alpha1"])
+def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
+    args = ["experiment", "--out", tmp_path / "x", "--seed", 1, "--set", "n=64",
+            "--set", "m=16"]
+    for kv in settings:
+        args += ["--set", kv]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("*.csv"))
+
+
+def test_param_convergence_accepts_its_default_start(tmp_path):
+    assert run(["experiment", "--out", tmp_path / "x", "--seed", 1, "--set", "n=32",
+                "--set", "study=param-convergence", "--set", "m=16", "--set", "epochs=1",
+                "--set", "reps=1", "--set", "theta0_signal=5", "--set", "theta0_noise=3",
+                "--set", "alpha1=9"]) == 0
+
+
 def test_jobs_is_an_experiment_flag(tmp_path, capsys):
     csv = simulate_small(tmp_path) / "dataset.csv"
     with pytest.raises(SystemExit) as exc:

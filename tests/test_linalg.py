@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
+from gpsgd.kernels import KernelSpec, kernel_matrix
 from gpsgd.linalg import (
     CGBreakdownError,
     NotPositiveDefiniteError,
     cg_solve,
     cholesky,
+    forward_solve,
     inverse,
     log_det,
     solve,
@@ -52,6 +56,30 @@ def test_cholesky_rejects_non_finite(bad):
     A[4, 1] = A[1, 4] = bad
     with pytest.raises(NotPositiveDefiniteError, match=r"2 non-finite entries, the first at \(1, 4\)"):
         cholesky(A)
+
+
+@pytest.mark.parametrize("n", [1, 16, 127, 129, 300])
+def test_factor_solves_and_inverse_match_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-2.0, 2.0, size=(n, 4))
+    K = kernel_matrix(KernelSpec.rbf((1.0, 0.7, 1.3, 0.9)), X) + 0.1 * np.eye(n)
+    L = scipy.linalg.cholesky(K, lower=True, check_finite=False)
+    factor = cholesky(K)
+    assert np.array_equal(factor.lower, L)
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        z = scipy.linalg.solve_triangular(L, b, lower=True)
+        assert np.array_equal(forward_solve(factor, b), z)
+        assert np.array_equal(solve(factor, b),
+                              scipy.linalg.solve_triangular(L, z, lower=True, trans="T"))
+    inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+    assert info == 0
+    lower = np.tril(inv)
+    assert np.array_equal(inverse(factor), lower + np.tril(lower, -1).T)
+
+
+def test_cholesky_names_the_failed_minor():
+    with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_inverse_of_factor():

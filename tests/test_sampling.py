@@ -9,6 +9,7 @@ from gpsgd.sampling import (
     Minibatch,
     SamplingScheme,
     build_index,
+    nearby_batches,
     nearby_minibatch,
     uniform_minibatch,
 )
@@ -201,3 +202,93 @@ def test_iteration_rng_is_pure_in_seed_and_step():
     c = uniform_minibatch(50, 7, iteration_rng(11, 4))
     assert a.indices == b.indices
     assert a.indices != c.indices
+
+
+class _CountingTree:
+    """Wraps an index's cKDTree and counts the fallback's ball queries."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.ball_queries = 0
+
+    def query(self, *args, **kwargs):
+        return self.tree.query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        self.ball_queries += 1
+        return self.tree.query_ball_point(*args, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_query_many_matches_brute_force_and_query(dim):
+    rng = component_rng(12, "query-many", dim)
+    ball_queries = 0
+    for rep in range(40):
+        n = int(rng.integers(1, 120))
+        X = _duplicate_heavy(rng, n, dim) if rep % 2 else rng.normal(size=(n, dim))
+        index = build_index(X)
+        counter = index._tree = _CountingTree(index._tree)
+        points = np.vstack([X[rng.integers(n, size=6)], np.round(rng.normal(size=(4, dim)), 1)])
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            got = index.query_many(points, k)
+            assert got.shape == (points.shape[0], k)
+            for r, point in enumerate(points):
+                assert list(got[r]) == brute_force_knn(X, point, k)
+                assert np.array_equal(index.query(point, k), got[r])
+        ball_queries += counter.ball_queries
+    # the duplicate-heavy sets put ties at the k-th distance, which only the
+    # fallback ranks right
+    assert ball_queries > 0
+
+
+def test_query_many_ties_at_kth_distance_use_the_fallback():
+    X = np.array([[0.0], [1.0], [1.0], [1.0], [2.0]])
+    index = build_index(X)
+    counter = index._tree = _CountingTree(index._tree)
+    got = index.query_many(np.array([[1.0], [0.0], [2.0]]), 4)
+    assert got.tolist() == [[1, 2, 3, 0], [0, 1, 2, 3], [4, 1, 2, 3]]
+    # only from 1.0 do the 4th and 5th nearest (rows 0 and 4) tie
+    assert counter.ball_queries == 1
+
+
+def test_query_many_rejects_bad_points():
+    index = build_index(RNG.normal(size=(4, 2)))
+    with pytest.raises(ValueError):
+        index.query_many(np.zeros((3, 3)), 1)
+    with pytest.raises(ValueError):
+        index.query_many(np.zeros(2), 1)
+    with pytest.raises(ValueError):
+        index.query_many(np.zeros((1, 2)), 0)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_nearby_batches_match_nearby_minibatch(dim):
+    rng = component_rng(13, "nearby-batches", dim)
+    for rep in range(20):
+        n = int(rng.integers(1, 80))
+        X = _duplicate_heavy(rng, n, dim) if rep % 2 else rng.normal(size=(n, dim))
+        index = build_index(X)
+        centers = rng.integers(n, size=9)
+        for m in {1, 2, int(rng.integers(1, n + 1)), n}:
+            batches = nearby_batches(index, centers, m)
+            assert batches.shape == (9, m)
+            for center, batch in zip(centers, batches):
+                expected = nearby_minibatch(index, n, m, _FixedCenter(int(center)))
+                assert tuple(batch.tolist()) == expected.indices
+                others = [i for i in brute_force_knn(X, X[center], m) if i != center][:m - 1]
+                assert batch.tolist() == [center, *others]
+
+
+def test_nearby_batches_center_behind_its_duplicates():
+    # rows 0-3 coincide; drawn from 3 with m=3, the query returns 0, 1, 2 and
+    # the center takes the place of the last of them
+    X = np.array([[1.0], [1.0], [1.0], [1.0], [5.0]])
+    assert nearby_batches(build_index(X), [3, 4], 3).tolist() == [[3, 0, 1], [4, 0, 1]]
+
+
+def test_nearby_batches_reject_bad_sizes_and_centers():
+    index = build_index(RNG.normal(size=(5, 2)))
+    with pytest.raises(ValueError, match="minibatch size 6"):
+        nearby_batches(index, [0], 6)
+    with pytest.raises(ValueError, match="centers"):
+        nearby_batches(index, [5], 2)

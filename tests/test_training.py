@@ -23,8 +23,12 @@ from gpsgd import (
     simulate_gp,
     stochastic_gradient,
 )
+from gpsgd import training
+from gpsgd.data import Uniform, levy, simulate_function
 from gpsgd.kernels import kernel_matrix_grad, marginal_covariance
 from gpsgd.linalg import cholesky, solve, two_sided_solve
+from gpsgd.sampling import build_index, draw_minibatch
+from gpsgd.seeds import iteration_rng
 from gpsgd.training import ADAM_EPS, LOG_2PI
 
 MK = MultiKernel.single(KernelSpec.rbf(0.5))
@@ -387,3 +391,40 @@ def test_trace_csv_format(tmp_path):
     bare = tmp_path / "bare.csv"
     trace.to_csv(bare, include_timing=False)
     assert bare.read_text().split("\n")[0] == "iter,alpha,theta_1,theta_2,grad_norm_sq"
+
+
+def _replay_mismatches(trace, dataset, kernels, config) -> int:
+    """Iterations whose recorded gradient differs, in any bit, from
+    `draw_minibatch` + `stochastic_gradient` at the recorded theta."""
+    index = build_index(dataset.X) if config.scheme == SamplingScheme.NEARBY else None
+    mismatches = 0
+    for k in range(1, trace.iterations + 1):
+        theta = HyperParams.from_vector(trace.theta[k - 1], trace.n_kernels,
+                                        trace.has_lengthscales)
+        batch = draw_minibatch(config.scheme, dataset.n, config.m,
+                               iteration_rng(config.seed, k), index)
+        grad = stochastic_gradient(theta, kernels, batch, dataset.X, dataset.y, config.scaling)
+        mismatches += not np.array_equal(grad, trace.gradient[k])
+    return mismatches
+
+
+def test_sgd_uniform_fit_replays_bit_for_bit():
+    ds = _dataset(n=200, seed=31)
+    config = SGDConfig(m=24, iterations=60, alpha1=3.0, seed=32,
+                       scaling=ScalingPolicy.log_signal(1), clamp=(1e-3, 1e3))
+    trace = sgd_fit(ds, MK, config, HyperParams((2.0,), 2.0))
+    assert trace.iterations == 60
+    assert _replay_mismatches(trace, ds, MK, config) == 0
+
+
+@pytest.mark.parametrize("chunk", [7, training.SCHEDULE_CHUNK])
+def test_adam_nearby_fit_replays_bit_for_bit(monkeypatch, chunk):
+    # batches drawn ahead in chunks of 7 cross several chunk boundaries
+    monkeypatch.setattr(training, "SCHEDULE_CHUNK", chunk)
+    ds = simulate_function(levy, 300, Uniform(-10.0, 10.0), 4, noise_sd=1.0, seed=33)
+    kernels = MultiKernel.single(KernelSpec.rbf((3.0,) * 4))
+    config = SGDConfig(m=16, iterations=40, learning_rate=0.05,
+                       scheme=SamplingScheme.NEARBY, seed=34)
+    trace = adam_fit(ds, kernels, config, HyperParams((1.0,), 0.5), learn_lengthscales=True)
+    assert trace.iterations == 40
+    assert _replay_mismatches(trace, ds, kernels, config) == 0
