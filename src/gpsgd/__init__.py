@@ -48,7 +48,6 @@ from .kernels import (
 from .linalg import (
     CGResult,
     CholeskyFactor,
-    EigenSpectrum,
     NotPositiveDefiniteError,
     cg_solve,
     cholesky,
@@ -62,8 +61,6 @@ from .sampling import (
     SamplingScheme,
     SpatialIndex,
     build_index,
-    nearby_minibatch,
-    uniform_minibatch,
 )
 from .training import (
     FitDivergedError,

@@ -99,8 +99,6 @@ class Key:
     nullable: bool = False
 
 
-STUDIES = ("param-convergence", "grad-convergence", "vary-m", "curvature", "lengthscale-monotone")
-
 _KERNEL_KEYS = {
     "kernel_family": Key("rbf", "choice", choices=KernelFamily),
     "lengthscales": Key([0.5], "floats", POSITIVE),   # one per input dimension (rbf) or [h] (matern)
@@ -136,6 +134,24 @@ _SGD_KEYS = {
     "clip": Key(None, "float", POSITIVE, nullable=True),    # gradient-norm threshold G
     "grad_norm_every": Key(0, "int", NONNEGATIVE),
 }
+
+# The experiment keys each study reads besides `seed` and `study`; it takes
+# every other key only at its default.
+_POOL_KEYS = {"n", "input_dim", "theta_signal", "theta_noise", "input_kind", "input_sd",
+              "input_low", "input_high", *_KERNEL_KEYS}
+_FIT_STUDY_KEYS = _POOL_KEYS | {"reps", "epochs", "scaling", "tau", "sampling", "clamp", "clip",
+                                "grad_norm_every"}
+_START_KEYS = {"m_grid", "theta0_signal", "theta0_noise", "alpha1"}
+STUDY_KEYS = {
+    "param-convergence": _FIT_STUDY_KEYS | {"m"},   # fixed start points and step sizes
+    "grad-convergence": _FIT_STUDY_KEYS | _START_KEYS,
+    "vary-m": _FIT_STUDY_KEYS | _START_KEYS,
+    "curvature": _POOL_KEYS | {"m_grid", "replicates"},
+    # the RBF spectrum under Gaussian inputs; input_kind may only be gaussian
+    "lengthscale-monotone": {"theta_signal", "theta_noise", "input_kind", "input_sd",
+                             "lengthscale_grid", "surrogate_m"},
+}
+STUDIES = tuple(STUDY_KEYS)
 
 _SEED = Key(0, "int", NONNEGATIVE)
 
@@ -314,6 +330,12 @@ def _check_rules(command: str, c: dict) -> None:
     model they give, `c["kernels"]`, and `params` with the hyperparameters
     its file holds."""
     study = c.get("study")
+    if study is not None:
+        for key in sorted(set(c) - STUDY_KEYS[study] - {"seed", "study"}):
+            spec = KEYS[command][key]
+            if c[key] != _typed(key, spec, spec.default):
+                raise ConfigError(f"{key} does not apply to {study}; leave it at its "
+                                  f"default {spec.default!r}")
     if command == "simulate" and c["generator"] != "gp":
         c["kernels"] = None
     elif c["kernels"] is not None:
@@ -329,13 +351,12 @@ def _check_rules(command: str, c: dict) -> None:
         for key in ("theta_signal", "theta0_signal"):
             if key in c and not (key == "theta_signal" and c.get("params")):
                 _check_theta_length(key, c[key], kernels)
-        if "input_dim" in c and study != "lengthscale-monotone":
+        if "input_dim" in c:
             for spec in kernels.components:
                 if spec.family == KernelFamily.RBF and spec.n_lengthscales != c["input_dim"]:
                     raise ConfigError(f"input_dim is {c['input_dim']} but an rbf kernel has "
                                       f"{spec.n_lengthscales} lengthscales")
-        if kernels.n_kernels != 1 and (command == "diagnose" or study in (
-                "curvature", "lengthscale-monotone")):
+        if kernels.n_kernels != 1 and (command == "diagnose" or study == "curvature"):
             raise ConfigError(f"{study or command} uses a single kernel")
     if c.get("params") is not None:
         c["params"] = _read_params(c["params"], kernels)
@@ -360,12 +381,6 @@ def _check_rules(command: str, c: dict) -> None:
     if study == "lengthscale-monotone" and c["input_kind"] != "gaussian":
         raise ConfigError("input_kind must be gaussian for lengthscale-monotone: its "
                           "eigenvalues are those of Gaussian inputs")
-    if study == "param-convergence":
-        for key in ("theta0_signal", "theta0_noise", "alpha1"):
-            spec = KEYS["experiment"][key]
-            if c[key] != _typed(key, spec, spec.default):
-                raise ConfigError(f"{key} does not apply to param-convergence, which runs "
-                                  f"its {len(_PARAM_CASES)} fixed start points and step sizes")
 
 
 def _load_dataset(c: dict, key: str) -> Dataset:
@@ -608,7 +623,7 @@ def _fit_rep(c: dict, task: tuple) -> tuple:
     run_cfg = _sgd_config(c, fit_seed, m=m, alpha1=alpha1, grad_norm_every=every)
     trace = sgd_fit(dataset, c["kernels"], run_cfg, theta0)
     iters = np.flatnonzero(trace.grad_norm_recorded)
-    return (trace.theta_history(), iters, trace.grad_norm_sq[iters],
+    return (trace.theta, iters, trace.grad_norm_sq[iters],
             trace.clamp_events, trace.clip_events)
 
 

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import HyperParams, KernelSpec, MultiKernel, kernel_matrix, kernel_matrix_grad, marginal_covariance
-from .linalg import EigenSpectrum, cholesky, sym_eigenvalues, two_sided_solve
-from .sampling import Minibatch, SamplingScheme, build_index, draw_minibatch
+from .linalg import cholesky, sym_eigenvalues, two_sided_solve
+from .sampling import Minibatch, SamplingScheme, build_index, nearby_batches, uniform_indices
 from .seeds import component_rng
 from .training import ScalingPolicy, stochastic_gradient
 
@@ -44,7 +44,6 @@ class CurvatureReport:
     mean: float
     sd: float
     theta: HyperParams
-    eigenvalues: list[np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def monte_carlo_expected_gradient(
         batch_X = batch_X[:, None]
     m = batch_X.shape[0]
     factor_true = cholesky(marginal_covariance(kernels, theta_true, batch_X))
-    batch = Minibatch(tuple(range(m)), SamplingScheme.UNIFORM)
+    batch = Minibatch(np.arange(m))
     rng = component_rng(seed, "mc-expected-gradient")
     samples = np.empty((draws, theta.n_params))
     for d in range(draws):
@@ -210,22 +209,22 @@ EIG_FLOOR_RATIO = 1e-12
 
 
 def eigendecay_fit(
-    spectrum: EigenSpectrum,
+    eigenvalues: np.ndarray,
     n: int,
     family: DecayFamily,
     index_range: tuple[int, int] | None = None,
-    floor_ratio: float = EIG_FLOOR_RATIO,
 ) -> EigendecayFit:
     """Least-squares fit of the normalized spectrum lam_j / n to a decay law.
 
-    Exponential fits log(lam_j/n) against j (1-based); polynomial fits it
-    against log j with slope -2b. Only eigenvalues above floor_ratio * lam_1
-    enter the fit (dense eigensolvers return noise below that); an explicit
-    1-based inclusive `index_range` restricts it further.
+    `eigenvalues` are in descending order, as `sym_eigenvalues` returns
+    them. Exponential fits log(lam_j/n) against j (1-based); polynomial fits
+    it against log j with slope -2b. Only eigenvalues above EIG_FLOOR_RATIO *
+    lam_1 enter the fit (dense eigensolvers return noise below that); an
+    explicit 1-based inclusive `index_range` restricts it further.
     """
-    values = np.asarray(spectrum.values, dtype=np.float64) / float(n)
+    values = np.asarray(eigenvalues, dtype=np.float64) / float(n)
     j = np.arange(1, values.shape[0] + 1)
-    usable = values > floor_ratio * values[0]
+    usable = values > EIG_FLOOR_RATIO * values[0]
     if index_range is not None:
         lo, hi = index_range
         usable &= (j >= lo) & (j <= hi)
@@ -257,10 +256,14 @@ def curvature_experiment(
     input_dist,
     seed: int,
     input_dim: int = 1,
-    keep_eigenvalues: bool = False,
 ) -> list[CurvatureReport]:
     """Replicate-minibatch curvature under uniform and nearby sampling on a
-    shared input pool; one report per (m, scheme)."""
+    shared input pool; one report per (m, scheme).
+
+    Replicate `rep` of a cell draws from `component_rng(seed, cell, rep)` the
+    batch `draw_minibatch` would; a nearby cell takes all its centers first
+    and finds their neighbors in one `nearby_batches` call.
+    """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     pool_rng = component_rng(seed, "curvature-pool")
@@ -269,16 +272,14 @@ def curvature_experiment(
     reports = []
     for m in m_grid:
         for scheme in (SamplingScheme.UNIFORM, SamplingScheme.NEARBY):
-            values = np.empty(replicates)
-            eigs = [] if keep_eigenvalues else None
-            for rep in range(replicates):
-                rng = component_rng(seed, f"curvature-{scheme.value}-m{m}", rep)
-                batch = draw_minibatch(scheme, pool_size, m, rng, index)
-                K_base = kernel_matrix(kernel, X[np.asarray(batch.indices)])
-                lam = sym_eigenvalues(K_base).values
-                values[rep] = noise_curvature(theta, lam)
-                if eigs is not None:
-                    eigs.append(lam)
+            cell = f"curvature-{scheme.value}-m{m}"
+            rngs = [component_rng(seed, cell, rep) for rep in range(replicates)]
+            if scheme == SamplingScheme.UNIFORM:
+                batches = [uniform_indices(pool_size, m, rng) for rng in rngs]
+            else:
+                batches = nearby_batches(index, [rng.integers(pool_size) for rng in rngs], m)
+            values = np.array([noise_curvature(theta, sym_eigenvalues(kernel_matrix(kernel, X[b])))
+                               for b in batches])
             reports.append(
                 CurvatureReport(
                     m=m,
@@ -288,7 +289,6 @@ def curvature_experiment(
                     mean=float(values.mean()),
                     sd=float(values.std(ddof=0)),
                     theta=theta,
-                    eigenvalues=eigs,
                 )
             )
     return reports

@@ -29,25 +29,18 @@ class SamplingScheme(str, Enum):
     NEARBY = "nearby"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Minibatch:
-    """Distinct row indices of one minibatch. Nearby batches carry the
-    uniformly drawn center, which is always a member."""
+    """Distinct row indices of one minibatch, as one 1-D integer array."""
 
-    indices: tuple[int, ...]
-    scheme: SamplingScheme
-    center_index: int | None = None
+    indices: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("minibatch indices must be distinct")
-        if self.scheme == SamplingScheme.NEARBY:
-            if self.center_index is None or self.center_index not in self.indices:
-                raise ValueError("nearby batch must contain its center index")
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
+        indices = np.asarray(self.indices)
+        if (indices.ndim != 1 or indices.dtype.kind not in "iu"
+                or np.unique(indices).size != indices.size):
+            raise ValueError("minibatch indices must be a vector of distinct integers")
+        object.__setattr__(self, "indices", indices)
 
 
 # Relative widening of the k-th distance; far above the few ulps by which the
@@ -131,11 +124,6 @@ def uniform_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=m, replace=False)
 
 
-def uniform_minibatch(n: int, m: int, rng: np.random.Generator) -> Minibatch:
-    """`uniform_indices` as a Minibatch."""
-    return Minibatch(tuple(uniform_indices(n, m, rng).tolist()), SamplingScheme.UNIFORM)
-
-
 def nearby_batches(index: SpatialIndex, centers: np.ndarray, m: int) -> np.ndarray:
     """Row r: centers[r], then its m-1 nearest other rows in query order.
 
@@ -154,19 +142,6 @@ def nearby_batches(index: SpatialIndex, centers: np.ndarray, m: int) -> np.ndarr
     return np.column_stack((centers, near[others].reshape(-1, m - 1)))
 
 
-def nearby_minibatch(
-    index: SpatialIndex, n: int, m: int, rng: np.random.Generator
-) -> Minibatch:
-    """A uniformly drawn center plus its m-1 exact nearest neighbors: the
-    one-center case of `nearby_batches`."""
-    _check_sizes(n, m)
-    if index.n != n:
-        raise ValueError(f"index covers {index.n} points, expected {n}")
-    center = int(rng.integers(n))
-    batch = nearby_batches(index, [center], m)[0]
-    return Minibatch(tuple(batch.tolist()), SamplingScheme.NEARBY, center_index=center)
-
-
 def draw_minibatch(
     scheme: SamplingScheme,
     n: int,
@@ -174,11 +149,15 @@ def draw_minibatch(
     rng: np.random.Generator,
     index: SpatialIndex | None = None,
 ) -> Minibatch:
+    """One batch from `rng`: `uniform_indices`, or a uniformly drawn center
+    and its m-1 nearest other rows (one row of `nearby_batches`)."""
     if scheme == SamplingScheme.UNIFORM:
-        return uniform_minibatch(n, m, rng)
+        return Minibatch(uniform_indices(n, m, rng))
     if index is None:
         raise ValueError("nearby sampling requires a spatial index")
-    return nearby_minibatch(index, n, m, rng)
+    if index.n != n:
+        raise ValueError(f"index covers {index.n} points, expected {n}")
+    return Minibatch(nearby_batches(index, [rng.integers(n)], m)[0])
 
 
 def _check_sizes(n: int, m: int) -> None:

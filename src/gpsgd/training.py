@@ -234,9 +234,6 @@ class FitTrace:
     def final_theta(self) -> HyperParams:
         return HyperParams.from_vector(self.theta[-1], self.n_kernels, self.has_lengthscales)
 
-    def theta_history(self) -> np.ndarray:
-        return self.theta.copy()
-
     def to_csv(self, path: str | Path, include_timing: bool = True) -> None:
         """One row per iteration, full-precision floats.
 
@@ -329,13 +326,13 @@ def stochastic_gradient(
     """Minibatch gradient estimate with per-slot scaling s_l(m)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    idx = np.asarray(batch.indices, dtype=np.intp)
+    idx = batch.indices
     if idx.min() < 0 or idx.max() >= y.shape[0]:
         raise ValueError("batch indices out of range")
     if scaling is None:
         scaling = ScalingPolicy.linear(theta.n_kernels)
     n_ls = 0 if theta.lengthscales is None else len(theta.lengthscales)
-    divisors = scaling.divisors(batch.size, theta.n_kernels, n_ls)
+    divisors = scaling.divisors(idx.shape[0], theta.n_kernels, n_ls)
     X2 = X[idx] if X.ndim == 2 else X[idx, None]
     return _gradient_core(theta, kernels, X2, y[idx], divisors)
 

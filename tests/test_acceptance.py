@@ -108,7 +108,7 @@ def test_ac02_stochastic_gradient_reduces_to_full():
     for n, seed in [(50, 1), (120, 2), (200, 3)]:
         ds = simulate_gp(RBF_HALF, TRUE_THETA, n, Gaussian(5.0), 1, seed=seed)
         theta = HyperParams((2.0 + seed,), 0.5 + 0.3 * seed)
-        batch = Minibatch(tuple(range(n)), SamplingScheme.UNIFORM)
+        batch = Minibatch(np.arange(n))
         sg = stochastic_gradient(theta, RBF_HALF, batch, ds.X, ds.y, ScalingPolicy.linear(1))
         fg = full_gradient(theta, RBF_HALF, ds.X, ds.y)
         worst = max(worst, float(np.max(np.abs(sg - fg))))
@@ -133,7 +133,7 @@ def test_ac03_noise_variance_convergence():
     finals, mse_quarter, mse_final = [], [], []
     for rep in range(10):
         _, trace = _simulation_protocol_fit(128, rep, 2000)
-        history = trace.theta_history()
+        history = trace.theta
         K = trace.iterations
         assert K == 200
         finals.append(abs(history[K, 1] - 1.0))
@@ -220,7 +220,7 @@ def test_ac08_curvature_is_noise_gradient_derivative():
         rng = component_rng(14, "ac8-batch", rep)
         idx = rng.choice(512, size=24, replace=False)
         batch_X = pool[idx]
-        lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), batch_X)).values
+        lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), batch_X))
         theta = HyperParams((float(rng.uniform(1, 6)),), float(rng.uniform(0.5, 2)))
         gamma = noise_curvature(theta, lam)
         h = 1e-5 * theta.noise_variance
@@ -241,7 +241,7 @@ def test_ac09_empirical_eigendecay_matches_analytic_law():
     spectrum = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), X))
     beta = gaussian_kernel_beta(10.0, 0.5)
     analytic = gaussian_kernel_eigenvalues(10.0, 0.5, 10)
-    empirical = spectrum.values[:10] / n
+    empirical = spectrum[:10] / n
     point_err = float(np.max(np.abs(empirical - analytic) / analytic))
     fit = eigendecay_fit(spectrum, n, DecayFamily.EXPONENTIAL, index_range=(1, 40))
     rate_err = abs(fit.rate - (-math.log(beta))) / (-math.log(beta))

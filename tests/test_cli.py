@@ -236,24 +236,44 @@ def test_rejected_dataset_csv_exits_two(tmp_path, capsys, command, key):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+_CURVATURE = ["study=curvature", "n=64", "m_grid=[8]"]
+_VARY_M = ["study=vary-m", "n=64", "m_grid=[8]"]
+_PARAM = ["study=param-convergence", "n=64", "m=16"]
+_MONOTONE = ["study=lengthscale-monotone"]
+
+
 @pytest.mark.parametrize("settings, message", [
-    (["study=lengthscale-monotone", "input_kind=uniform"],
-     "input_kind must be gaussian for lengthscale-monotone"),
-    (["study=param-convergence", "theta0_signal=[2]"],
-     "theta0_signal does not apply to param-convergence"),
-    (["study=param-convergence", "theta0_noise=1"],
-     "theta0_noise does not apply to param-convergence"),
-    (["study=param-convergence", "alpha1=3"], "alpha1 does not apply to param-convergence"),
+    (_MONOTONE + ["input_kind=uniform"], "input_kind must be gaussian for lengthscale-monotone"),
+    (_PARAM + ["theta0_signal=[2]"], "theta0_signal does not apply to param-convergence"),
+    (_PARAM + ["theta0_noise=1"], "theta0_noise does not apply to param-convergence"),
+    (_PARAM + ["alpha1=3"], "alpha1 does not apply to param-convergence"),
+    (_CURVATURE + ["alpha1=3"], "alpha1 does not apply to curvature"),
+    (_CURVATURE + ["sampling=nearby"], "sampling does not apply to curvature"),
+    (_VARY_M + ["replicates=7"], "replicates does not apply to vary-m"),
+    (_VARY_M + ["m=7"], "m does not apply to vary-m"),
+    (_MONOTONE + ["kernel_family=matern", "matern_order=1.5", "lengthscales=[3.0]", "reps=4",
+                  "n=10"], "kernel_family does not apply to lengthscale-monotone"),
+    (_MONOTONE + ["matern_order=1.5"], "matern_order does not apply to lengthscale-monotone"),
+    (_MONOTONE + ["lengthscales=[3.0]"], "lengthscales does not apply to lengthscale-monotone"),
+    (_MONOTONE + ["reps=4"], "reps does not apply to lengthscale-monotone"),
+    (_MONOTONE + ["n=10"], "n does not apply to lengthscale-monotone"),
 ], ids=["monotone-uniform-inputs", "param-theta0-signal", "param-theta0-noise",
-        "param-alpha1"])
+        "param-alpha1", "curvature-alpha1", "curvature-sampling", "vary-m-replicates",
+        "vary-m-m", "monotone-matern", "monotone-matern-order", "monotone-lengthscales",
+        "monotone-reps", "monotone-n"])
 def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
-    args = ["experiment", "--out", tmp_path / "x", "--seed", 1, "--set", "n=64",
-            "--set", "m=16"]
+    args = ["experiment", "--out", tmp_path / "x", "--seed", 1]
     for kv in settings:
         args += ["--set", kv]
     assert run(args) == 2
     assert message in capsys.readouterr().err
     assert not list((tmp_path / "x").glob("*.csv"))
+
+
+def test_a_study_takes_keys_it_ignores_at_their_default(tmp_path):
+    assert run(["experiment", "--out", tmp_path / "x", "--seed", 1, "--set", "n=32",
+                "--set", "study=curvature", "--set", "m_grid=[4]", "--set", "replicates=1",
+                "--set", "alpha1=9", "--set", "sampling=uniform", "--set", "m=128"]) == 0
 
 
 def test_param_convergence_accepts_its_default_start(tmp_path):

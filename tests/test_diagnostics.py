@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gpsgd import (
-    EigenSpectrum,
     Gaussian,
     HyperParams,
     KernelSpec,
@@ -24,9 +23,11 @@ from gpsgd import (
     surrogate_curvature,
     sym_eigenvalues,
 )
+from gpsgd import diagnostics
 from gpsgd.diagnostics import DecayFamily
 from gpsgd.kernels import marginal_covariance
 from gpsgd.linalg import cholesky, solve
+from gpsgd.sampling import SamplingScheme, build_index, draw_minibatch
 from gpsgd.seeds import component_rng
 
 MK = MultiKernel.single(KernelSpec.rbf(0.5))
@@ -56,7 +57,7 @@ def test_expected_gradient_eigenvalue_form_matches_trace_form():
     theta_true = HyperParams((4.0,), 1.0)
     scaling = ScalingPolicy.log_signal(1, tau=3.0)
     trace_form = conditional_expected_gradient(theta, theta_true, MK, Xb, scaling)
-    lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb)).values
+    lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb))
     eig_form = expected_gradient_from_eigenvalues(theta, theta_true, lam, scaling)
     assert np.max(np.abs(trace_form - eig_form)) < 1e-12
 
@@ -103,7 +104,7 @@ def test_curvature_noise_only_limit():
 
 def test_curvature_is_derivative_of_expected_noise_gradient():
     Xb = _batch_inputs(m=18, seed=7)
-    lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb)).values
+    lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb))
     theta = HyperParams((4.0,), 1.0)
     gamma = noise_curvature(theta, lam)
 
@@ -118,7 +119,7 @@ def test_curvature_is_derivative_of_expected_noise_gradient():
 def test_curvature_equals_inverse_square_trace():
     Xb = _batch_inputs(m=18, seed=8)
     theta = HyperParams((4.0,), 1.0)
-    lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb)).values
+    lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb))
     gamma = noise_curvature(theta, lam)
     K = marginal_covariance(MK, theta, Xb)
     Kinv = solve(cholesky(K), np.eye(18))
@@ -167,7 +168,7 @@ def test_eigendecay_fit_exact_exponential():
     n = 100
     j = np.arange(1, 41)
     lam = n * 0.1 * np.exp(-0.7 * j)
-    fit = eigendecay_fit(EigenSpectrum(values=lam), n, DecayFamily.EXPONENTIAL)
+    fit = eigendecay_fit(lam, n, DecayFamily.EXPONENTIAL)
     assert fit.rate == pytest.approx(0.7, rel=1e-10)
     assert fit.scale == pytest.approx(0.1, rel=1e-8)
     assert fit.residual < 1e-10
@@ -177,7 +178,7 @@ def test_eigendecay_fit_exact_polynomial():
     n = 50
     j = np.arange(1, 31)
     lam = n * j**-4.0
-    fit = eigendecay_fit(EigenSpectrum(values=lam), n, DecayFamily.POLYNOMIAL)
+    fit = eigendecay_fit(lam, n, DecayFamily.POLYNOMIAL)
     assert fit.rate == pytest.approx(2.0, rel=1e-10)   # 2b = 4
     assert fit.scale == pytest.approx(1.0, rel=1e-8)
 
@@ -186,13 +187,13 @@ def test_eigendecay_fit_floor_and_minimum_points():
     n = 10
     lam = n * np.array([1.0, 0.5, 1e-20, 1e-21, 1e-22])
     with pytest.raises(ValueError, match="usable"):
-        eigendecay_fit(EigenSpectrum(values=lam), n, DecayFamily.EXPONENTIAL)
+        eigendecay_fit(lam, n, DecayFamily.EXPONENTIAL)
 
 
 def test_eigendecay_fit_rejects_flat_spectrum():
     lam = 5.0 * np.ones(10)
     with pytest.raises(ValueError, match="decay"):
-        eigendecay_fit(EigenSpectrum(values=lam), 10, DecayFamily.EXPONENTIAL)
+        eigendecay_fit(lam, 10, DecayFamily.EXPONENTIAL)
 
 
 def test_eigendecay_polynomial_fit_on_matern_spectrum():
@@ -247,6 +248,71 @@ def test_curvature_experiment_nearby_exceeds_uniform():
         assert by_key[(m, "nearby")].mean > by_key[(m, "uniform")].mean
 
 
+class _CoarseInputs:
+    """Gaussian inputs rounded to whole numbers: many rows coincide."""
+
+    def sample(self, rng, n, dim):
+        return np.round(rng.normal(0.0, 2.0, size=(n, dim)))
+
+
+def _curvature_by_draw_minibatch(pool_size, m_grid, replicates, theta, kernel, input_dist, seed,
+                                 input_dim):
+    """Reference for curvature_experiment: replicate `rep` of each cell
+    draws its batch with `draw_minibatch` from its own stream."""
+    X = input_dist.sample(component_rng(seed, "curvature-pool"), pool_size, input_dim)
+    index = build_index(X)
+    cells = []
+    for m in m_grid:
+        for scheme in (SamplingScheme.UNIFORM, SamplingScheme.NEARBY):
+            values = []
+            for rep in range(replicates):
+                rng = component_rng(seed, f"curvature-{scheme.value}-m{m}", rep)
+                batch = draw_minibatch(scheme, pool_size, m, rng, index)
+                lam = sym_eigenvalues(kernel_matrix(kernel, X[batch.indices]))
+                values.append(noise_curvature(theta, lam))
+            cells.append((m, scheme, np.array(values)))
+    return cells
+
+
+class _CountingTree:
+    """Wraps an index's cKDTree and counts the kNN fallback's ball queries."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.ball_queries = 0
+
+    def query(self, *args, **kwargs):
+        return self.tree.query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        self.ball_queries += 1
+        return self.tree.query_ball_point(*args, **kwargs)
+
+
+@pytest.mark.parametrize("input_dim", [1, 2])
+def test_curvature_experiment_matches_per_replicate_draws(monkeypatch, input_dim):
+    trees = []
+
+    def counting_index(X):
+        index = build_index(X)
+        index._tree = _CountingTree(index._tree)
+        trees.append(index._tree)
+        return index
+
+    monkeypatch.setattr(diagnostics, "build_index", counting_index)
+    args = (60, [1, 5, 16, 60], 7, HyperParams((4.0,), 1.0), KernelSpec.rbf([0.5] * input_dim),
+            _CoarseInputs(), 21, input_dim)
+    reports = curvature_experiment(*args)
+    expected = _curvature_by_draw_minibatch(*args)
+    assert [(r.m, r.scheme) for r in reports] == [(m, scheme) for m, scheme, _ in expected]
+    for report, (_, _, values) in zip(reports, expected):
+        assert np.array_equal(report.values, values)
+        assert report.mean == float(values.mean()) and report.sd == float(values.std(ddof=0))
+    # the coinciding rows put ties at the k-th distance, which only the
+    # fallback ranks right
+    assert trees[0].ball_queries > 0
+
+
 def test_eigen_ratio_sums_log_vs_linear_growth():
     # sum lam/(t1 lam + t2)^2 grows like log n; sum 1/(...)^2 grows like n
     t1, t2 = 4.0, 1.0
@@ -254,7 +320,7 @@ def test_eigen_ratio_sums_log_vs_linear_growth():
     for n in (512, 1024, 2048):
         rng = component_rng(42, "growth", n)
         X = rng.normal(0, 10.0, size=(n, 1))
-        lam = np.maximum(sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), X)).values, 0.0)
+        lam = np.maximum(sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), X)), 0.0)
         denom = (t1 * lam + t2) ** 2
         log_sums[n] = float(np.sum(lam / denom))
         flat_sums[n] = float(np.sum(1.0 / denom))

@@ -1,5 +1,7 @@
 """Minibatch sampling and exact nearest-neighbor search tests."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from gpsgd.sampling import (
     Minibatch,
     SamplingScheme,
     build_index,
+    draw_minibatch,
     nearby_batches,
-    nearby_minibatch,
-    uniform_minibatch,
+    uniform_indices,
 )
 from gpsgd.seeds import component_rng, iteration_rng
 
@@ -23,28 +25,39 @@ def brute_force_knn(X, point, k):
     return sorted(range(X.shape[0]), key=lambda i: (d2[i], i))[:k]
 
 
+def uniform_batch(n, m, rng):
+    return draw_minibatch(SamplingScheme.UNIFORM, n, m, rng)
+
+
+def nearby_batch(index, n, m, rng):
+    return draw_minibatch(SamplingScheme.NEARBY, n, m, rng, index)
+
+
 def test_minibatch_validation():
     with pytest.raises(ValueError):
-        Minibatch((1, 1, 2), SamplingScheme.UNIFORM)
+        Minibatch(np.array([1, 1, 2]))
     with pytest.raises(ValueError):
-        Minibatch((1, 2), SamplingScheme.NEARBY, center_index=5)
+        Minibatch(np.array([[1, 2]]))
+    with pytest.raises(ValueError):
+        Minibatch(np.array([0.0, 1.0]))
+    assert Minibatch(np.array([3, 1])).indices.tolist() == [3, 1]
 
 
 def test_uniform_full_set():
-    batch = uniform_minibatch(5, 5, component_rng(0, "t"))
+    batch = uniform_batch(5, 5, component_rng(0, "t"))
     assert sorted(batch.indices) == [0, 1, 2, 3, 4]
 
 
 def test_uniform_reproducible():
-    a = uniform_minibatch(10, 3, component_rng(123, "batch"))
-    b = uniform_minibatch(10, 3, component_rng(123, "batch"))
-    assert a.indices == b.indices
-    assert a.scheme == SamplingScheme.UNIFORM
+    a = uniform_batch(10, 3, component_rng(123, "batch"))
+    b = uniform_batch(10, 3, component_rng(123, "batch"))
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.indices, uniform_indices(10, 3, component_rng(123, "batch")))
 
 
 def test_uniform_rejects_oversize():
     with pytest.raises(ValueError):
-        uniform_minibatch(4, 5, component_rng(0, "t"))
+        uniform_batch(4, 5, component_rng(0, "t"))
 
 
 def test_uniform_frequencies_chi_square():
@@ -53,7 +66,7 @@ def test_uniform_frequencies_chi_square():
     rng = component_rng(7, "uniformity")
     counts = np.zeros(6)
     for _ in range(draws):
-        counts[uniform_minibatch(6, 1, rng).indices[0]] += 1
+        counts[uniform_batch(6, 1, rng).indices[0]] += 1
     p = 1 / 6
     sigma = np.sqrt(p * (1 - p) / draws)
     assert np.all(np.abs(counts / draws - p) < 5 * sigma)
@@ -64,7 +77,7 @@ def test_uniform_frequencies_chi_square():
 def test_uniform_minibatch_always_valid(n, seed):
     rng = component_rng(seed, "prop")
     m = int(rng.integers(1, n + 1))
-    batch = uniform_minibatch(n, m, rng)
+    batch = uniform_batch(n, m, rng)
     assert len(set(batch.indices)) == m
     assert all(0 <= i < n for i in batch.indices)
 
@@ -137,9 +150,8 @@ def test_index_rejects_bad_queries():
 
 def test_nearby_singleton():
     X = RNG.normal(size=(6, 1))
-    batch = nearby_minibatch(build_index(X), 6, 1, component_rng(3, "nb"))
-    assert batch.size == 1
-    assert batch.center_index == batch.indices[0]
+    batch = nearby_batch(build_index(X), 6, 1, component_rng(3, "nb"))
+    assert batch.indices.tolist() == [component_rng(3, "nb").integers(6)]
 
 
 class _FixedCenter:
@@ -154,29 +166,27 @@ class _FixedCenter:
 
 def test_nearby_hand_checked_line():
     X = np.arange(10.0)[:, None]
-    batch = nearby_minibatch(build_index(X), 10, 3, _FixedCenter(5))
+    batch = nearby_batch(build_index(X), 10, 3, _FixedCenter(5))
     # neighbors of 5 at distance 1 are {4, 6}; the tie goes to index 4
-    assert batch.indices == (5, 4, 6)
-    assert batch.center_index == 5
+    assert batch.indices.tolist() == [5, 4, 6]
 
 
 def test_nearby_center_duplicate_with_smaller_index():
     # rows 1 and 4 coincide; drawn from 4, the batch keeps 4 as its center and
     # takes its duplicate 1 first, then the tie at distance 1 goes to 0 over 2
     X = np.array([[0.0], [1.0], [2.0], [5.0], [1.0], [9.0]])
-    batch = nearby_minibatch(build_index(X), 6, 3, _FixedCenter(4))
-    assert batch.indices == (4, 1, 0)
-    assert batch.center_index == 4
+    batch = nearby_batch(build_index(X), 6, 3, _FixedCenter(4))
+    assert batch.indices.tolist() == [4, 1, 0]
 
 
 def test_nearby_matches_brute_force():
     X = component_rng(8, "nb-data").normal(size=(200, 3))
     index = build_index(X)
     for rep in range(10):
-        batch = nearby_minibatch(index, 200, 17, component_rng(9, "nb-draw", rep))
-        center = batch.center_index
+        batch = nearby_batch(index, 200, 17, component_rng(9, "nb-draw", rep))
+        center = int(component_rng(9, "nb-draw", rep).integers(200))
         expected = [i for i in brute_force_knn(X, X[center], 17) if i != center][:16]
-        assert batch.indices == (center, *expected)
+        assert batch.indices.tolist() == [center, *expected]
         assert len(set(batch.indices)) == 17
 
 
@@ -187,21 +197,21 @@ def test_nearby_batches_are_tighter_than_uniform():
     for rep in range(50):
         rng = component_rng(2, "dist-rep", rep)
         for scheme, acc in [
-            (uniform_minibatch(300, 20, rng), uniform_gaps),
-            (nearby_minibatch(index, 300, 20, rng), nearby_gaps),
+            (uniform_batch(300, 20, rng), uniform_gaps),
+            (nearby_batch(index, 300, 20, rng), nearby_gaps),
         ]:
-            pts = X[list(scheme.indices)]
+            pts = X[scheme.indices]
             diff = np.abs(pts - pts.T)
             acc.append(diff[np.triu_indices(20, 1)].mean())
     assert np.mean(nearby_gaps) < np.mean(uniform_gaps)
 
 
 def test_iteration_rng_is_pure_in_seed_and_step():
-    a = uniform_minibatch(50, 7, iteration_rng(11, 3))
-    b = uniform_minibatch(50, 7, iteration_rng(11, 3))
-    c = uniform_minibatch(50, 7, iteration_rng(11, 4))
-    assert a.indices == b.indices
-    assert a.indices != c.indices
+    a = uniform_batch(50, 7, iteration_rng(11, 3))
+    b = uniform_batch(50, 7, iteration_rng(11, 3))
+    c = uniform_batch(50, 7, iteration_rng(11, 4))
+    assert np.array_equal(a.indices, b.indices)
+    assert not np.array_equal(a.indices, c.indices)
 
 
 class _CountingTree:
@@ -262,7 +272,7 @@ def test_query_many_rejects_bad_points():
 
 
 @pytest.mark.parametrize("dim", [1, 4])
-def test_nearby_batches_match_nearby_minibatch(dim):
+def test_draw_minibatch_matches_a_nearby_batches_row(dim):
     rng = component_rng(13, "nearby-batches", dim)
     for rep in range(20):
         n = int(rng.integers(1, 80))
@@ -273,8 +283,8 @@ def test_nearby_batches_match_nearby_minibatch(dim):
             batches = nearby_batches(index, centers, m)
             assert batches.shape == (9, m)
             for center, batch in zip(centers, batches):
-                expected = nearby_minibatch(index, n, m, _FixedCenter(int(center)))
-                assert tuple(batch.tolist()) == expected.indices
+                expected = nearby_batch(index, n, m, _FixedCenter(int(center)))
+                assert np.array_equal(batch, expected.indices)
                 others = [i for i in brute_force_knn(X, X[center], m) if i != center][:m - 1]
                 assert batch.tolist() == [center, *others]
 
@@ -292,3 +302,15 @@ def test_nearby_batches_reject_bad_sizes_and_centers():
         nearby_batches(index, [0], 6)
     with pytest.raises(ValueError, match="centers"):
         nearby_batches(index, [5], 2)
+
+
+def test_draw_minibatch_rejects_bad_sizes_and_indexes():
+    index = build_index(RNG.normal(size=(5, 2)))
+    with pytest.raises(ValueError, match="index covers 5 points, expected 6"):
+        nearby_batch(index, 6, 2, component_rng(0, "t"))
+    with pytest.raises(ValueError, match="requires a spatial index"):
+        nearby_batch(None, 5, 2, component_rng(0, "t"))
+    for m in (0, 6):
+        for batch in (uniform_batch, partial(nearby_batch, index)):
+            with pytest.raises(ValueError, match=f"minibatch size {m} must be in"):
+                batch(5, m, component_rng(0, "t"))

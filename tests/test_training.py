@@ -122,7 +122,7 @@ def test_gradients_match_per_slot_oracle(name, kernels, theta, dim, scaling):
     X = rng.normal(0.0, 2.0, size=(n, dim))
     y = rng.normal(size=n)
     idx = np.sort(rng.choice(n, size=m, replace=False))
-    batch = Minibatch(tuple(int(i) for i in idx), SamplingScheme.UNIFORM)
+    batch = Minibatch(idx)
     policy = (ScalingPolicy.linear(theta.n_kernels) if scaling == "linear"
               else ScalingPolicy.log_signal(theta.n_kernels))
     n_ls = 0 if theta.lengthscales is None else len(theta.lengthscales)
@@ -138,7 +138,7 @@ def test_gradients_match_per_slot_oracle(name, kernels, theta, dim, scaling):
 def test_stochastic_gradient_full_batch_reduces_to_full_gradient():
     ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 60, Gaussian(5.0), 1, seed=7)
     theta = HyperParams((2.5,), 1.2)
-    batch = Minibatch(tuple(range(60)), SamplingScheme.UNIFORM)
+    batch = Minibatch(np.arange(60))
     sg = stochastic_gradient(theta, MK, batch, ds.X, ds.y, ScalingPolicy.linear(1))
     fg = full_gradient(theta, MK, ds.X, ds.y)
     assert np.max(np.abs(sg - fg)) < 1e-12
@@ -147,7 +147,7 @@ def test_stochastic_gradient_full_batch_reduces_to_full_gradient():
 def test_stochastic_gradient_single_point_closed_form():
     X = np.array([[0.0]])
     y = np.array([2.0])
-    batch = Minibatch((0,), SamplingScheme.UNIFORM)
+    batch = Minibatch(np.array([0]))
     sg = stochastic_gradient(HyperParams((1.0,), 1.0), MK, batch, X, y)
     assert sg == pytest.approx([-0.25, -0.25], rel=1e-12)
 
@@ -155,7 +155,7 @@ def test_stochastic_gradient_single_point_closed_form():
 def test_log_scaling_is_a_constant_rescale_of_linear():
     ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 128, Gaussian(5.0), 1, seed=8)
     theta = HyperParams((2.0,), 1.5)
-    batch = Minibatch(tuple(range(128)), SamplingScheme.UNIFORM)
+    batch = Minibatch(np.arange(128))
     linear = stochastic_gradient(theta, MK, batch, ds.X, ds.y, ScalingPolicy.linear(1))
     logscaled = stochastic_gradient(
         theta, MK, batch, ds.X, ds.y, ScalingPolicy.log_signal(1, tau=3.0)
@@ -217,7 +217,7 @@ def test_sgd_fixed_point_of_zero_gradient():
     from gpsgd.data import Dataset
     ds = Dataset(X=X, y=y)
     trace = sgd_fit(ds, MK, SGDConfig(m=1, iterations=5, alpha1=2.0, seed=1), theta0)
-    assert np.max(np.abs(trace.theta_history() - [1.5, 0.5])) < 1e-14
+    assert np.max(np.abs(trace.theta - [1.5, 0.5])) < 1e-14
 
 
 def test_sgd_trace_contract():
@@ -244,7 +244,7 @@ def test_trace_records_view():
     assert np.array_equal(records[-1].theta, trace.final_theta.to_vector())
     assert [rec.iteration for rec in records[1:5:2]] == [1, 3]
     assert [rec.iteration for rec in records] == list(range(6))
-    assert np.array_equal(np.vstack([rec.theta for rec in records]), trace.theta_history())
+    assert np.array_equal(np.vstack([rec.theta for rec in records]), trace.theta)
     for bad in (6, -7):
         with pytest.raises(IndexError):
             records[bad]
@@ -257,11 +257,11 @@ def test_sgd_deterministic_given_seed():
                        scheme=SamplingScheme.NEARBY)
     a = sgd_fit(_dataset(), MK, config, HyperParams((3.0,), 2.0))
     b = sgd_fit(_dataset(), MK, config, HyperParams((3.0,), 2.0))
-    assert np.array_equal(a.theta_history(), b.theta_history())
+    assert np.array_equal(a.theta, b.theta)
     c = sgd_fit(_dataset(), MK, SGDConfig(m=8, epochs=2, alpha1=1.0, seed=14,
                                           scheme=SamplingScheme.NEARBY),
                 HyperParams((3.0,), 2.0))
-    assert not np.array_equal(a.theta_history(), c.theta_history())
+    assert not np.array_equal(a.theta, c.theta)
 
 
 def test_sgd_diverges_without_clamp():
@@ -282,7 +282,7 @@ def test_diverged_fit_trace_holds_rows_so_far():
         sgd_fit(ds, MK, config, HyperParams((1e308,), 1e308))
     trace = info.value.trace
     assert trace.iterations == 0 and len(trace.records) == 1
-    assert np.array_equal(trace.theta_history(), [[1e308, 1e308]])
+    assert np.array_equal(trace.theta, [[1e308, 1e308]])
 
 
 def test_diverged_fit_trace_holds_completed_iterations():
@@ -295,7 +295,7 @@ def test_diverged_fit_trace_holds_completed_iterations():
     # iterations 0 and 1 completed; the iterate of iteration 2 left (0, inf)
     assert trace.iterations == 1 and len(trace.records) == 2
     full = sgd_fit(ds, MK, SGDConfig(m=16, iterations=1, alpha1=100.0, seed=16), theta0)
-    assert np.array_equal(trace.theta_history(), full.theta_history())
+    assert np.array_equal(trace.theta, full.theta)
     assert np.array_equal(trace.gradient, full.gradient, equal_nan=True)
 
 
@@ -304,7 +304,7 @@ def test_sgd_clamp_counts_events():
     config = SGDConfig(m=32, iterations=3, alpha1=1e4, seed=16, clamp=(1e-4, 1e4))
     trace = sgd_fit(ds, MK, config, HyperParams((8.0,), 4.0))
     assert trace.clamp_events > 0
-    assert np.all(trace.theta_history() >= 1e-4)
+    assert np.all(trace.theta >= 1e-4)
 
 
 def test_sgd_clip_bounds_gradient_norm():
@@ -351,7 +351,7 @@ def test_adam_keeps_lengthscales_frozen_by_default():
     theta0 = HyperParams((2.0,), 1.0, lengthscales=(0.5,))
     config = SGDConfig(m=16, iterations=10, learning_rate=0.05, seed=21)
     trace = adam_fit(_dataset(), MK, config, theta0, learn_lengthscales=False)
-    history = trace.theta_history()
+    history = trace.theta
     assert np.all(history[:, 2] == 0.5)
     assert history[0, 0] != history[-1, 0]
 
@@ -371,7 +371,7 @@ def test_adam_positivity_floor():
     ds = _dataset(n=32, seed=22)
     config = SGDConfig(m=32, iterations=50, learning_rate=0.5, seed=23)
     trace = adam_fit(ds, MK, config, HyperParams((0.01,), 0.01))
-    assert np.all(trace.theta_history() > 0)
+    assert np.all(trace.theta > 0)
 
 
 def test_trace_csv_format(tmp_path):
