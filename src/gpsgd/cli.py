@@ -153,6 +153,12 @@ STUDY_KEYS = {
 }
 STUDIES = tuple(STUDY_KEYS)
 
+# Keys read only under one value of another key: key -> (that key, the value).
+GATED_KEYS = {"tau": ("scaling", "log"), "alpha1": ("optimizer", "sgd"),
+              "learning_rate": ("optimizer", "adam"), "learn_lengthscales": ("optimizer", "adam"),
+              "input_sd": ("input_kind", "gaussian"), "input_low": ("input_kind", "uniform"),
+              "input_high": ("input_kind", "uniform")}
+
 _SEED = Key(0, "int", NONNEGATIVE)
 
 KEYS: dict[str, dict[str, Key]] = {
@@ -330,12 +336,16 @@ def _check_rules(command: str, c: dict) -> None:
     model they give, `c["kernels"]`, and `params` with the hyperparameters
     its file holds."""
     study = c.get("study")
-    if study is not None:
-        for key in sorted(set(c) - STUDY_KEYS[study] - {"seed", "study"}):
-            spec = KEYS[command][key]
-            if c[key] != _typed(key, spec, spec.default):
-                raise ConfigError(f"{key} does not apply to {study}; leave it at its "
-                                  f"default {spec.default!r}")
+    # The keys the run does not read, each with the reason; they must keep their default.
+    read = STUDY_KEYS[study] | {"seed", "study"} if study else set(c)
+    unread = {key: f"does not apply to {study}" for key in set(c) - read}
+    for key, (governor, value) in GATED_KEYS.items():
+        if governor in c and key not in unread and c[governor] != value:
+            unread[key] = f"applies only with {governor}={value}"
+    for key in sorted(unread):
+        spec = KEYS[command][key]
+        if c[key] != _typed(key, spec, spec.default):
+            raise ConfigError(f"{key} {unread[key]}; leave it at its default {spec.default!r}")
     if command == "simulate" and c["generator"] != "gp":
         c["kernels"] = None
     elif c["kernels"] is not None:
@@ -348,23 +358,22 @@ def _check_rules(command: str, c: dict) -> None:
             raise ConfigError(f"bad kernel config: {exc}") from None
     kernels = c["kernels"]
     if kernels is not None:
+        if kernels.n_kernels != 1 and (command == "diagnose"
+                                       or study in ("curvature", "param-convergence")):
+            raise ConfigError(f"{study or command} uses a single kernel")
         for key in ("theta_signal", "theta0_signal"):
-            if key in c and not (key == "theta_signal" and c.get("params")):
+            if key in c and key not in unread and not (key == "theta_signal" and c.get("params")):
                 _check_theta_length(key, c[key], kernels)
         if "input_dim" in c:
             for spec in kernels.components:
                 if spec.family == KernelFamily.RBF and spec.n_lengthscales != c["input_dim"]:
                     raise ConfigError(f"input_dim is {c['input_dim']} but an rbf kernel has "
                                       f"{spec.n_lengthscales} lengthscales")
-        if kernels.n_kernels != 1 and (command == "diagnose" or study == "curvature"):
-            raise ConfigError(f"{study or command} uses a single kernel")
     if c.get("params") is not None:
         c["params"] = _read_params(c["params"], kernels)
     if c.get("input_kind") == "uniform" and not c["input_low"] < c["input_high"]:
         raise ConfigError(f"input_low must be below input_high, got "
                           f"{c['input_low']} and {c['input_high']}")
-    if c.get("learn_lengthscales") and c["optimizer"] != "adam":
-        raise ConfigError("learn_lengthscales requires the adam optimizer")
     for key in ("clamp", "fit_index_range"):
         pair = c.get(key)
         if pair is not None and not (len(pair) == 2 and pair[0] < pair[1]):
@@ -448,14 +457,9 @@ def _input_dist(c: dict):
 
 def _sgd_config(c: dict, seed: int, **run) -> SGDConfig:
     """The SGDConfig the optimizer keys give; `run` overrides fields."""
-    n_kernels = c["kernels"].n_kernels
-    if c["scaling"] == ScalingMode.LOG_SCALED:
-        scaling = ScalingPolicy.log_signal(n_kernels, tau=c["tau"])
-    else:
-        scaling = ScalingPolicy.linear(n_kernels)
     fields = dict(m=c["m"], epochs=c["epochs"], alpha1=c["alpha1"], scheme=c["sampling"],
-                  scaling=scaling, clamp=c["clamp"], clip=c["clip"], seed=seed,
-                  grad_norm_every=c["grad_norm_every"])
+                  scaling=ScalingPolicy(c["scaling"], c["tau"]), clamp=c["clamp"],
+                  clip=c["clip"], seed=seed, grad_norm_every=c["grad_norm_every"])
     return SGDConfig(**{**fields, **run})
 
 
@@ -503,7 +507,7 @@ def cmd_fit(c: dict, out: Path) -> dict:
     else:
         trace = adam_fit(dataset, c["kernels"], run_cfg, theta0,
                          learn_lengthscales=c["learn_lengthscales"])
-    trace.to_csv(out / "trace.csv", include_timing=False)
+    trace.to_csv(out / "trace.csv")
     final = trace.final_theta
     params = {
         "theta_signal": list(final.signal_variances),

@@ -60,7 +60,7 @@ def conditional_expected_gradient(
     theta_true: HyperParams,
     kernels: MultiKernel,
     batch_X: np.ndarray,
-    scaling: ScalingPolicy | None = None,
+    scaling: ScalingPolicy = ScalingPolicy(),
 ) -> np.ndarray:
     """E[stochastic gradient | batch inputs] under y ~ N(0, K(theta_true)).
 
@@ -71,11 +71,7 @@ def conditional_expected_gradient(
     batch_X = np.asarray(batch_X, dtype=np.float64)
     if batch_X.ndim == 1:
         batch_X = batch_X[:, None]
-    m = batch_X.shape[0]
-    if scaling is None:
-        scaling = ScalingPolicy.linear(theta.n_kernels)
-    n_ls = 0 if theta.lengthscales is None else len(theta.lengthscales)
-    divisors = scaling.divisors(m, theta.n_kernels, n_ls)
+    divisors = scaling.divisors(batch_X.shape[0], theta)
 
     K = marginal_covariance(kernels, theta, batch_X)
     K_true = marginal_covariance(kernels, theta_true, batch_X)
@@ -93,7 +89,7 @@ def expected_gradient_from_eigenvalues(
     theta: HyperParams,
     theta_true: HyperParams,
     eigenvalues: np.ndarray,
-    scaling: ScalingPolicy | None = None,
+    scaling: ScalingPolicy = ScalingPolicy(),
 ) -> np.ndarray:
     """Eigenvalue form of the conditional expected gradient for one kernel.
 
@@ -106,9 +102,7 @@ def expected_gradient_from_eigenvalues(
         raise ValueError("eigenvalue form requires a single kernel")
     lam = np.asarray(eigenvalues, dtype=np.float64)
     m = lam.shape[0]
-    if scaling is None:
-        scaling = ScalingPolicy.linear(1)
-    divisors = scaling.divisors(m, 1, 0)
+    divisors = scaling.divisors(m, theta)
     slot_eigs = (lam, np.ones(m))
     diff = (
         theta.signal_variances[0] - theta_true.signal_variances[0],
@@ -127,7 +121,7 @@ def monte_carlo_expected_gradient(
     theta_true: HyperParams,
     kernels: MultiKernel,
     batch_X: np.ndarray,
-    scaling: ScalingPolicy | None = None,
+    scaling: ScalingPolicy = ScalingPolicy(),
     draws: int = 20000,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,7 @@ class CGBreakdownError(Exception):
     which means the operator is not positive definite."""
 
 
-DEFAULT_EIG_SIZE_CAP = 4096
+EIG_SIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,17 @@ def log_det(factor: CholeskyFactor) -> float:
     return float(2.0 * np.sum(np.log(np.diag(factor.lower))))
 
 
-def sym_eigenvalues(K: np.ndarray, max_size: int = DEFAULT_EIG_SIZE_CAP) -> np.ndarray:
+def sym_eigenvalues(K: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending.
 
-    Only eigenvalues are computed (no vectors). Matrices above `max_size`
-    are rejected to keep the dense solve bounded.
+    Only eigenvalues are computed (no vectors). Matrices above
+    EIG_SIZE_CAP are rejected to keep the dense solve bounded.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    if K.shape[0] > max_size:
-        raise ValueError(f"matrix size {K.shape[0]} exceeds eigenvalue cap {max_size}")
+    if K.shape[0] > EIG_SIZE_CAP:
+        raise ValueError(f"matrix size {K.shape[0]} exceeds eigenvalue cap {EIG_SIZE_CAP}")
     # dsyevd called directly: scipy.linalg.eigvalsh gives the same bits but
     # took 63 against 28 us at 16x16.
     lwork, liwork, info = scipy.linalg.lapack.dsyevd_lwork(K.shape[0], compute_v=0, lower=1)

@@ -10,7 +10,7 @@ submatrix indexed by the batch, dividing slot l by 2*s_l(m) instead of 2n.
 With s_l(m) = m for every slot and the batch equal to the full index set it
 reduces to the full gradient exactly.
 
-Two optimizers are provided: plain SGD with diminishing step sizes
+Two optimizers run through one loop: plain SGD with diminishing step sizes
 alpha_k = alpha_1 / k, and Adam with a constant learning rate for joint
 variance + lengthscale estimation.
 """
@@ -18,9 +18,8 @@ variance + lengthscale estimation.
 from __future__ import annotations
 
 import math
-import operator
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -72,42 +71,24 @@ class ScalingMode(str, Enum):
 class ScalingPolicy:
     """Per-slot stochastic-gradient divisors s_l(m).
 
-    Signal-variance slots may be Linear or LogScaled; the noise slot and any
-    lengthscale slots are always Linear. LogScaled slots require m >= 3.
+    Every slot is divided by m, except that under LOG_SCALED the signal
+    variance slots are divided by tau * log(m), which needs m >= 3.
     """
 
-    signal_modes: tuple[ScalingMode, ...]
+    mode: ScalingMode = ScalingMode.LINEAR
     tau: float = 3.0
 
     def __post_init__(self):
-        if len(self.signal_modes) < 1:
-            raise ValueError("at least one signal slot is required")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
-    @classmethod
-    def linear(cls, n_kernels: int) -> "ScalingPolicy":
-        return cls((ScalingMode.LINEAR,) * n_kernels)
-
-    @classmethod
-    def log_signal(cls, n_kernels: int, tau: float = 3.0) -> "ScalingPolicy":
-        return cls((ScalingMode.LOG_SCALED,) * n_kernels, tau=tau)
-
-    @property
-    def has_log(self) -> bool:
-        return ScalingMode.LOG_SCALED in self.signal_modes
-
-    def divisors(self, m: int, n_kernels: int, n_lengthscales: int) -> np.ndarray:
-        if len(self.signal_modes) != n_kernels:
-            raise ValueError(
-                f"{len(self.signal_modes)} scaling modes for {n_kernels} signal slots"
-            )
-        if self.has_log and m < MIN_LOG_SCALED_M:
-            raise ValueError(f"log-scaled slots require minibatch size m >= {MIN_LOG_SCALED_M}")
-        out = np.full(n_kernels + 1 + n_lengthscales, float(m))
-        for l, mode in enumerate(self.signal_modes):
-            if mode == ScalingMode.LOG_SCALED:
-                out[l] = self.tau * math.log(m)
+    def divisors(self, m: int, theta: HyperParams) -> np.ndarray:
+        out = np.full(theta.n_params, float(m))
+        if self.mode == ScalingMode.LOG_SCALED:
+            if m < MIN_LOG_SCALED_M:
+                raise ValueError(
+                    f"log-scaled slots require minibatch size m >= {MIN_LOG_SCALED_M}")
+            out[:theta.n_kernels] = self.tau * math.log(m)
         return out
 
 
@@ -128,7 +109,7 @@ class SGDConfig:
     alpha1: float = 1.0
     learning_rate: float = 0.01
     scheme: SamplingScheme = SamplingScheme.UNIFORM
-    scaling: ScalingPolicy | None = None
+    scaling: ScalingPolicy = ScalingPolicy()
     clamp: tuple[float, float] | None = None
     clip: float | None = None
     seed: int = 0
@@ -183,12 +164,8 @@ class _Records(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(f"record {index} out of range for {len(self)} records")
+            return [self[k] for k in range(len(self))[index]]
+        k = range(len(self))[index]   # counts negatives from the end; IndexError past it
         t = self._trace
         return TraceRecord(
             iteration=k,
@@ -234,30 +211,22 @@ class FitTrace:
     def final_theta(self) -> HyperParams:
         return HyperParams.from_vector(self.theta[-1], self.n_kernels, self.has_lengthscales)
 
-    def to_csv(self, path: str | Path, include_timing: bool = True) -> None:
-        """One row per iteration, full-precision floats.
-
-        `include_timing=False` drops the wall-clock column so reruns with the
-        same seed produce byte-identical files.
-        """
-        path = Path(path)
+    def to_csv(self, path: str | Path) -> None:
+        """One row per iteration, full-precision floats, and no wall-clock
+        column: reruns with the same seed produce byte-identical files."""
         has_grad_norm = bool(self.grad_norm_recorded.any())
         header = ["iter", "alpha"] + list(self.param_names)
         if has_grad_norm:
             header.append("grad_norm_sq")
-        if include_timing:
-            header.append("elapsed_ms")
         lines = [",".join(header)]
         columns = zip(self.step_size.tolist(), self.theta.tolist(), self.grad_norm_sq.tolist(),
-                      self.grad_norm_recorded.tolist(), self.elapsed.tolist())
-        for k, (step, theta, norm_sq, recorded, elapsed) in enumerate(columns):
+                      self.grad_norm_recorded.tolist())
+        for k, (step, theta, norm_sq, recorded) in enumerate(columns):
             row = [str(k), repr(step)] + [repr(v) for v in theta]
             if has_grad_norm:
                 row.append(repr(norm_sq) if recorded else "")
-            if include_timing:
-                row.append(repr(elapsed * 1000.0))
             lines.append(",".join(row))
-        path.write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
 
 
 class FitDivergedError(Exception):
@@ -311,8 +280,7 @@ def full_gradient(
     """Gradient of nll_loss over the full dataset, one entry per parameter
     slot (signal variances, noise, then lengthscales when present)."""
     y = np.asarray(y, dtype=np.float64)
-    divisors = np.full(theta.n_params, float(y.shape[0]))
-    return _gradient_core(theta, kernels, X, y, divisors)
+    return _gradient_core(theta, kernels, X, y, ScalingPolicy().divisors(y.shape[0], theta))
 
 
 def stochastic_gradient(
@@ -321,7 +289,7 @@ def stochastic_gradient(
     batch: Minibatch,
     X: np.ndarray,
     y: np.ndarray,
-    scaling: ScalingPolicy | None = None,
+    scaling: ScalingPolicy = ScalingPolicy(),
 ) -> np.ndarray:
     """Minibatch gradient estimate with per-slot scaling s_l(m)."""
     X = np.asarray(X, dtype=np.float64)
@@ -329,17 +297,13 @@ def stochastic_gradient(
     idx = batch.indices
     if idx.min() < 0 or idx.max() >= y.shape[0]:
         raise ValueError("batch indices out of range")
-    if scaling is None:
-        scaling = ScalingPolicy.linear(theta.n_kernels)
-    n_ls = 0 if theta.lengthscales is None else len(theta.lengthscales)
-    divisors = scaling.divisors(idx.shape[0], theta.n_kernels, n_ls)
     X2 = X[idx] if X.ndim == 2 else X[idx, None]
-    return _gradient_core(theta, kernels, X2, y[idx], divisors)
+    return _gradient_core(theta, kernels, X2, y[idx], scaling.divisors(idx.shape[0], theta))
 
 
 class _FitLoop:
-    """Shared bookkeeping for both optimizers: batch drawing, clipping,
-    clamping, trace recording, and failure wrapping.
+    """The loop both optimizers run: batch drawing, clipping, the
+    optimizer's update, clamping, trace recording, and failure wrapping.
 
     The batch of iteration k is the one `draw_minibatch` draws from
     `iteration_rng(seed, k)`, and its gradient is `stochastic_gradient`'s
@@ -362,7 +326,7 @@ class _FitLoop:
         self.n = dataset.n
         self.kernels = kernels
         self.config = config
-        self.scaling = config.scaling or ScalingPolicy.linear(kernels.n_kernels)
+        self.theta0 = theta0
         self.iterations = config.resolve_iterations(self.n)
         self.n_kernels = kernels.n_kernels
         self.has_lengthscales = theta0.lengthscales is not None
@@ -380,11 +344,22 @@ class _FitLoop:
         self.start = time.perf_counter()
         self.clamp_events = 0
         self.clip_events = 0
-        # Fails fast on inconsistent scaling before iterating.
-        self.divisors = self.scaling.divisors(
-            config.m, self.n_kernels, 0 if not self.has_lengthscales else len(theta0.lengthscales))
+        # Fails fast on a batch size the scaling cannot take, before iterating.
+        self.divisors = config.scaling.divisors(config.m, theta0)
         self.schedule = np.empty((0, config.m), dtype=np.intp)
         self.schedule_start = 1
+
+    def run(self, step: Callable[[int, np.ndarray], tuple], floor: float | None) -> FitTrace:
+        """Record theta0 as row 0; then for each k take (delta, step size,
+        gradient) = step(k, iteration k's batch gradient), move to
+        theta - delta within bounds (see enforce_bounds) and record row k."""
+        theta_vec = self.theta0.to_vector()
+        self.record(0, theta_vec, 0.0, None)
+        for k in range(1, self.iterations + 1):
+            delta, step_size, grad = step(k, self.batch_gradient(k, theta_vec))
+            theta_vec = self.enforce_bounds(k, theta_vec - delta, floor)
+            self.record(k, theta_vec, step_size, grad)
+        return self.trace()
 
     def record(self, k: int, theta_vec: np.ndarray, step: float, grad: np.ndarray | None) -> None:
         """Store row k: the iterate after step k, its step size and gradient,
@@ -450,11 +425,11 @@ class _FitLoop:
                 self.clip_events += 1
         return grad
 
-    def enforce_bounds(self, k: int, theta_vec: np.ndarray, lower_floor: float | None) -> np.ndarray:
+    def enforce_bounds(self, k: int, theta_vec: np.ndarray, floor: float | None) -> np.ndarray:
         if self.config.clamp is not None:
             lo, hi = self.config.clamp
-        elif lower_floor is not None:
-            lo, hi = lower_floor, np.inf
+        elif floor is not None:
+            lo, hi = floor, np.inf
         else:
             if np.any(theta_vec <= 0):
                 bad = int(np.argmax(theta_vec <= 0))
@@ -487,16 +462,11 @@ def sgd_fit(
     Deterministic given (seed, config, data): the batch at iteration k is a
     pure function of the seed and k.
     """
-    loop = _FitLoop(dataset, kernels, config, theta0)
-    theta_vec = theta0.to_vector()
-    loop.record(0, theta_vec, 0.0, None)
-    for k in range(1, loop.iterations + 1):
-        grad = loop.batch_gradient(k, theta_vec)
+    def step(k: int, grad: np.ndarray):
         alpha_k = config.alpha1 / k
-        theta_vec = theta_vec - alpha_k * grad
-        theta_vec = loop.enforce_bounds(k, theta_vec, lower_floor=None)
-        loop.record(k, theta_vec, alpha_k, grad)
-    return loop.trace()
+        return alpha_k * grad, alpha_k, grad
+
+    return _FitLoop(dataset, kernels, config, theta0).run(step, floor=None)
 
 
 def adam_fit(
@@ -509,35 +479,27 @@ def adam_fit(
     """Adam on the minibatch gradients with a constant learning rate.
 
     With `learn_lengthscales` the lengthscale slots are optimized alongside
-    the variances; otherwise any lengthscale slots in theta0 stay untouched.
-    Positivity is maintained by clamping below at theta_min (the configured
-    clamp bound, or its default).
+    the variances; otherwise any lengthscale slots in theta0 stay untouched
+    and their gradients are recorded as 0. Positivity is maintained by
+    clamping below at theta_min (the configured clamp bound, or its default).
     """
     if learn_lengthscales and theta0.lengthscales is None:
-        theta0 = HyperParams(
-            theta0.signal_variances, theta0.noise_variance, kernels.flat_lengthscales()
-        )
-    loop = _FitLoop(dataset, kernels, config, theta0)
-    theta_vec = theta0.to_vector()
-    n_var = kernels.n_kernels + 1
-    active = np.zeros(theta_vec.shape[0], dtype=bool)
-    active[:n_var] = True
-    if learn_lengthscales:
-        active[n_var:] = True
+        theta0 = HyperParams(theta0.signal_variances, theta0.noise_variance,
+                             kernels.flat_lengthscales())
+    n_active = theta0.n_params if learn_lengthscales else kernels.n_kernels + 1
+    active = np.arange(theta0.n_params) < n_active
+    m_state = np.zeros(theta0.n_params)
+    v_state = np.zeros(theta0.n_params)
 
-    m_state = np.zeros_like(theta_vec)
-    v_state = np.zeros_like(theta_vec)
-    floor = DEFAULT_CLAMP_BOUNDS[0]
-    loop.record(0, theta_vec, 0.0, None)
-    for k in range(1, loop.iterations + 1):
-        grad = loop.batch_gradient(k, theta_vec)
+    def step(k: int, grad: np.ndarray):
+        nonlocal m_state, v_state
         grad = np.where(active, grad, 0.0)
         m_state = ADAM_BETA1 * m_state + (1.0 - ADAM_BETA1) * grad
         v_state = ADAM_BETA2 * v_state + (1.0 - ADAM_BETA2) * grad**2
         m_hat = m_state / (1.0 - ADAM_BETA1**k)
         v_hat = v_state / (1.0 - ADAM_BETA2**k)
-        step = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        theta_vec = theta_vec - np.where(active, step, 0.0)
-        theta_vec = loop.enforce_bounds(k, theta_vec, lower_floor=floor)
-        loop.record(k, theta_vec, config.learning_rate, grad)
-    return loop.trace()
+        update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        return np.where(active, update, 0.0), config.learning_rate, grad
+
+    loop = _FitLoop(dataset, kernels, config, theta0)
+    return loop.run(step, floor=DEFAULT_CLAMP_BOUNDS[0])

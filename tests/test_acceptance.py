@@ -18,6 +18,7 @@ from gpsgd import (
     MultiKernel,
     PredictStrategy,
     SamplingScheme,
+    ScalingMode,
     ScalingPolicy,
     SGDConfig,
     Uniform,
@@ -109,7 +110,7 @@ def test_ac02_stochastic_gradient_reduces_to_full():
         ds = simulate_gp(RBF_HALF, TRUE_THETA, n, Gaussian(5.0), 1, seed=seed)
         theta = HyperParams((2.0 + seed,), 0.5 + 0.3 * seed)
         batch = Minibatch(np.arange(n))
-        sg = stochastic_gradient(theta, RBF_HALF, batch, ds.X, ds.y, ScalingPolicy.linear(1))
+        sg = stochastic_gradient(theta, RBF_HALF, batch, ds.X, ds.y, ScalingPolicy())
         fg = full_gradient(theta, RBF_HALF, ds.X, ds.y)
         worst = max(worst, float(np.max(np.abs(sg - fg))))
     check("AC-02 minibatch-reduction", worst < 1e-12, f"worst abs diff {worst:.2e} < 1e-12",
@@ -121,7 +122,7 @@ def _simulation_protocol_fit(m: int, rep: int, seed_base: int) -> tuple:
     ds = simulate_gp(RBF_HALF, TRUE_THETA, 1024, Gaussian(5.0), 1, seed=1000 + rep)
     config = SGDConfig(
         m=m, epochs=25, alpha1=9.0,
-        scaling=ScalingPolicy.log_signal(1, tau=3.0),
+        scaling=ScalingPolicy(ScalingMode.LOG_SCALED, tau=3.0),
         clamp=(1e-4, 1e4), seed=seed_base + rep,
     )
     trace = sgd_fit(ds, RBF_HALF, config, HyperParams((5.0,), 3.0))
@@ -194,7 +195,7 @@ def test_ac06_surrogate_curvature_monotone_in_lengthscale():
 def test_ac07_monte_carlo_matches_expected_gradient():
     start = time.time()
     batch_X = component_rng(5, "ac7").normal(0, 5.0, size=(32, 1))
-    scaling = ScalingPolicy.log_signal(1, tau=3.0)
+    scaling = ScalingPolicy(ScalingMode.LOG_SCALED, tau=3.0)
     details = []
     ok = True
     for theta in (HyperParams((3.0,), 2.0), TRUE_THETA):

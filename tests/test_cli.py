@@ -240,6 +240,8 @@ _CURVATURE = ["study=curvature", "n=64", "m_grid=[8]"]
 _VARY_M = ["study=vary-m", "n=64", "m_grid=[8]"]
 _PARAM = ["study=param-convergence", "n=64", "m=16"]
 _MONOTONE = ["study=lengthscale-monotone"]
+_TWO_KERNELS = ('kernels=[{"family": "rbf", "lengthscales": [0.5]}, '
+                '{"family": "rbf", "lengthscales": [2.0]}]')
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -257,10 +259,12 @@ _MONOTONE = ["study=lengthscale-monotone"]
     (_MONOTONE + ["lengthscales=[3.0]"], "lengthscales does not apply to lengthscale-monotone"),
     (_MONOTONE + ["reps=4"], "reps does not apply to lengthscale-monotone"),
     (_MONOTONE + ["n=10"], "n does not apply to lengthscale-monotone"),
+    # its fixed start points hold one signal variance each
+    (_PARAM + [_TWO_KERNELS, "theta_signal=[2,2]"], "param-convergence uses a single kernel"),
 ], ids=["monotone-uniform-inputs", "param-theta0-signal", "param-theta0-noise",
         "param-alpha1", "curvature-alpha1", "curvature-sampling", "vary-m-replicates",
         "vary-m-m", "monotone-matern", "monotone-matern-order", "monotone-lengthscales",
-        "monotone-reps", "monotone-n"])
+        "monotone-reps", "monotone-n", "param-two-kernels"])
 def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
     args = ["experiment", "--out", tmp_path / "x", "--seed", 1]
     for kv in settings:
@@ -268,6 +272,38 @@ def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
     assert run(args) == 2
     assert message in capsys.readouterr().err
     assert not list((tmp_path / "x").glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("fit", ["tau=7"], "tau applies only with scaling=log"),
+    ("fit", ["learning_rate=0.5"], "learning_rate applies only with optimizer=adam"),
+    ("fit", ["learn_lengthscales=true"], "learn_lengthscales applies only with optimizer=adam"),
+    ("fit", ["optimizer=adam", "alpha1=3"], "alpha1 applies only with optimizer=sgd"),
+    ("simulate", ["input_low=-3"], "input_low applies only with input_kind=uniform"),
+    ("simulate", ["input_kind=uniform", "input_sd=2"],
+     "input_sd applies only with input_kind=gaussian"),
+    ("experiment", _VARY_M + ["scaling=linear", "tau=7"], "tau applies only with scaling=log"),
+], ids=["fit-tau-linear", "fit-learning-rate-sgd", "fit-learn-lengthscales-sgd",
+        "fit-alpha1-adam", "simulate-input-low-gaussian", "simulate-input-sd-uniform",
+        "vary-m-tau-linear"])
+def test_keys_another_key_turns_off_exit_two(tmp_path, capsys, command, settings, message):
+    args = [command, "--out", tmp_path / "bad", "--seed", 1]
+    if command == "fit":
+        settings = [f"data={simulate_small(tmp_path) / 'dataset.csv'}", *settings]
+    for kv in settings:
+        args += ["--set", kv]
+    assert run(args) == 2
+    assert f"{message}; leave it at its default" in capsys.readouterr().err
+    assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+def test_gated_keys_at_their_default_are_accepted(tmp_path):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    assert run(["fit", "--out", tmp_path / "fit", "--set", f"data={csv}", "--set", "m=16",
+                "--set", "epochs=1", "--set", "tau=3", "--set", "learning_rate=0.01",
+                "--set", "learn_lengthscales=false"]) == 0
+    assert run(["simulate", "--out", tmp_path / "sim", "--set", "n=8",
+                "--set", "input_kind=uniform", "--set", "input_sd=5"]) == 0
 
 
 def test_a_study_takes_keys_it_ignores_at_their_default(tmp_path):

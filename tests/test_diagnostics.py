@@ -10,6 +10,7 @@ from gpsgd import (
     HyperParams,
     KernelSpec,
     MultiKernel,
+    ScalingMode,
     ScalingPolicy,
     conditional_expected_gradient,
     curvature_experiment,
@@ -55,7 +56,7 @@ def test_expected_gradient_eigenvalue_form_matches_trace_form():
     Xb = _batch_inputs(m=20, seed=1)
     theta = HyperParams((3.0,), 2.0)
     theta_true = HyperParams((4.0,), 1.0)
-    scaling = ScalingPolicy.log_signal(1, tau=3.0)
+    scaling = ScalingPolicy(ScalingMode.LOG_SCALED, tau=3.0)
     trace_form = conditional_expected_gradient(theta, theta_true, MK, Xb, scaling)
     lam = sym_eigenvalues(kernel_matrix(KernelSpec.rbf(0.5), Xb))
     eig_form = expected_gradient_from_eigenvalues(theta, theta_true, lam, scaling)

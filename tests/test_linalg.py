@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
+from gpsgd import linalg
 from gpsgd.kernels import KernelSpec, kernel_matrix
 from gpsgd.linalg import (
     CGBreakdownError,
@@ -170,9 +171,10 @@ def test_sym_eigenvalues_match_numpy_bit_for_bit():
             assert np.array_equal(sym_eigenvalues(M), np.linalg.eigvalsh(M)[::-1])
 
 
-def test_sym_eigenvalues_size_cap():
+def test_sym_eigenvalues_size_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "EIG_SIZE_CAP", 8)
     with pytest.raises(ValueError):
-        sym_eigenvalues(np.eye(10), max_size=8)
+        sym_eigenvalues(np.eye(10))
 
 
 def test_two_sided_solve_trace_identity():

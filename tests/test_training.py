@@ -123,10 +123,8 @@ def test_gradients_match_per_slot_oracle(name, kernels, theta, dim, scaling):
     y = rng.normal(size=n)
     idx = np.sort(rng.choice(n, size=m, replace=False))
     batch = Minibatch(idx)
-    policy = (ScalingPolicy.linear(theta.n_kernels) if scaling == "linear"
-              else ScalingPolicy.log_signal(theta.n_kernels))
-    n_ls = 0 if theta.lengthscales is None else len(theta.lengthscales)
-    divisors = policy.divisors(m, theta.n_kernels, n_ls)
+    policy = ScalingPolicy(ScalingMode(scaling))
+    divisors = policy.divisors(m, theta)
     sg = stochastic_gradient(theta, kernels, batch, X, y, policy)
     assert np.allclose(sg, oracle_gradient(theta, kernels, X[idx], y[idx], divisors),
                        rtol=1e-10, atol=0.0)
@@ -139,7 +137,7 @@ def test_stochastic_gradient_full_batch_reduces_to_full_gradient():
     ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 60, Gaussian(5.0), 1, seed=7)
     theta = HyperParams((2.5,), 1.2)
     batch = Minibatch(np.arange(60))
-    sg = stochastic_gradient(theta, MK, batch, ds.X, ds.y, ScalingPolicy.linear(1))
+    sg = stochastic_gradient(theta, MK, batch, ds.X, ds.y, ScalingPolicy())
     fg = full_gradient(theta, MK, ds.X, ds.y)
     assert np.max(np.abs(sg - fg)) < 1e-12
 
@@ -156,9 +154,9 @@ def test_log_scaling_is_a_constant_rescale_of_linear():
     ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 128, Gaussian(5.0), 1, seed=8)
     theta = HyperParams((2.0,), 1.5)
     batch = Minibatch(np.arange(128))
-    linear = stochastic_gradient(theta, MK, batch, ds.X, ds.y, ScalingPolicy.linear(1))
+    linear = stochastic_gradient(theta, MK, batch, ds.X, ds.y, ScalingPolicy())
     logscaled = stochastic_gradient(
-        theta, MK, batch, ds.X, ds.y, ScalingPolicy.log_signal(1, tau=3.0)
+        theta, MK, batch, ds.X, ds.y, ScalingPolicy(ScalingMode.LOG_SCALED, tau=3.0)
     )
     # signal slot rescales by m / (tau log m); noise slot unchanged
     assert logscaled[0] == pytest.approx(linear[0] * 128 / (3 * math.log(128)), rel=1e-12)
@@ -166,12 +164,25 @@ def test_log_scaling_is_a_constant_rescale_of_linear():
 
 
 def test_scaling_policy_validation():
+    theta = HyperParams((2.0,), 1.0)
     with pytest.raises(ValueError):
-        ScalingPolicy.log_signal(1).divisors(2, 1, 0)   # log scaling needs m >= 3
+        ScalingPolicy(ScalingMode.LOG_SCALED).divisors(2, theta)   # log scaling needs m >= 3
     with pytest.raises(ValueError):
-        ScalingPolicy((ScalingMode.LINEAR,), tau=-1.0)
-    with pytest.raises(ValueError):
-        ScalingPolicy.linear(2).divisors(8, 1, 0)       # slot-count mismatch
+        ScalingPolicy(ScalingMode.LINEAR, tau=-1.0)
+
+
+def test_scaling_policy_divisors_two_kernels_with_lengthscales():
+    theta = HyperParams((2.0, 1.0), 0.5, (0.3, 0.7, 1.1))
+    m, tau = 40, 2.5
+    log = ScalingPolicy(ScalingMode.LOG_SCALED, tau).divisors(m, theta)
+    assert log.tolist() == [tau * math.log(m)] * 2 + [float(m)] * (1 + 3)
+    assert ScalingPolicy(tau=tau).divisors(m, theta).tolist() == [float(m)] * 6
+    assert ScalingPolicy(tau=tau).divisors(2, theta).tolist() == [2.0] * 6
+    with pytest.raises(ValueError, match="m >= 3"):
+        ScalingPolicy(ScalingMode.LOG_SCALED, tau).divisors(2, theta)
+    for bad_tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ScalingPolicy(ScalingMode.LOG_SCALED, bad_tau)
 
 
 def test_loss_scale_covariance():
@@ -374,23 +385,58 @@ def test_adam_positivity_floor():
     assert np.all(trace.theta > 0)
 
 
+def test_sgd_steps_replay_from_recorded_gradients():
+    # theta_k = clamp(theta_{k-1} - (alpha1 / k) g_k), with g_k the recorded
+    # (clipped) gradient
+    lo, hi = 0.8, 2.5
+    config = SGDConfig(m=16, iterations=40, alpha1=20.0, seed=41, clamp=(lo, hi), clip=0.05)
+    trace = sgd_fit(_dataset(n=80, seed=40), MK, config, HyperParams((2.0,), 2.0))
+    assert trace.clamp_events > 0 and trace.clip_events > 0
+    for k in range(1, trace.iterations + 1):
+        alpha_k = config.alpha1 / k
+        assert trace.step_size[k] == alpha_k
+        expected = np.clip(trace.theta[k - 1] - alpha_k * trace.gradient[k], lo, hi)
+        assert np.array_equal(trace.theta[k], expected)
+
+
+def test_adam_steps_replay_from_recorded_gradients():
+    # the moments run on the recorded gradients, which are 0 in the frozen
+    # lengthscale slot; the floor holds theta above DEFAULT_CLAMP_BOUNDS[0]
+    floor = training.DEFAULT_CLAMP_BOUNDS[0]
+    ds = simulate_gp(MK, HyperParams((1e-3,), 1e-3), 32, Gaussian(5.0), 1, seed=22)
+    config = SGDConfig(m=32, iterations=50, learning_rate=0.5, seed=23)
+    trace = adam_fit(ds, MK, config, HyperParams((0.3,), 0.3, (0.5,)))
+    assert trace.clamp_events > 0
+    assert np.all(trace.gradient[1:, 2] == 0.0) and np.all(trace.theta[:, 2] == 0.5)
+    active = np.array([True, True, False])
+    m_state = np.zeros(3)
+    v_state = np.zeros(3)
+    for k in range(1, trace.iterations + 1):
+        g = trace.gradient[k]
+        m_state = training.ADAM_BETA1 * m_state + (1.0 - training.ADAM_BETA1) * g
+        v_state = training.ADAM_BETA2 * v_state + (1.0 - training.ADAM_BETA2) * g**2
+        m_hat = m_state / (1.0 - training.ADAM_BETA1**k)
+        v_hat = v_state / (1.0 - training.ADAM_BETA2**k)
+        update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        expected = np.clip(trace.theta[k - 1] - np.where(active, update, 0.0), floor, np.inf)
+        assert trace.step_size[k] == config.learning_rate
+        assert np.array_equal(trace.theta[k], expected)
+
+
 def test_trace_csv_format(tmp_path):
     config = SGDConfig(m=16, iterations=3, alpha1=2.0, seed=24, grad_norm_every=3)
     trace = sgd_fit(_dataset(), MK, config, HyperParams((3.0,), 2.0))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iter,alpha,theta_1,theta_2,grad_norm_sq,elapsed_ms"
+    assert lines[0] == "iter,alpha,theta_1,theta_2,grad_norm_sq"   # no elapsed_ms column
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0.0"
     assert float(first[2]) == 3.0
     # full precision round trip
     assert float(lines[4].split(",")[2]) == trace.records[3].theta[0]
-
-    bare = tmp_path / "bare.csv"
-    trace.to_csv(bare, include_timing=False)
-    assert bare.read_text().split("\n")[0] == "iter,alpha,theta_1,theta_2,grad_norm_sq"
+    assert all(len(line.split(",")) == 5 for line in lines)
 
 
 def _replay_mismatches(trace, dataset, kernels, config) -> int:
@@ -411,7 +457,7 @@ def _replay_mismatches(trace, dataset, kernels, config) -> int:
 def test_sgd_uniform_fit_replays_bit_for_bit():
     ds = _dataset(n=200, seed=31)
     config = SGDConfig(m=24, iterations=60, alpha1=3.0, seed=32,
-                       scaling=ScalingPolicy.log_signal(1), clamp=(1e-3, 1e3))
+                       scaling=ScalingPolicy(ScalingMode.LOG_SCALED), clamp=(1e-3, 1e3))
     trace = sgd_fit(ds, MK, config, HyperParams((2.0,), 2.0))
     assert trace.iterations == 60
     assert _replay_mismatches(trace, ds, MK, config) == 0
