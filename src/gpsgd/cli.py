@@ -41,9 +41,7 @@ from .data import (
 from .diagnostics import (
     DecayFamily,
     curvature_experiment,
-    curvature_reports_to_csv,
     eigendecay_fit,
-    eigendecay_fits_to_csv,
     gaussian_kernel_eigenvalues,
     surrogate_curvature,
 )
@@ -153,11 +151,18 @@ STUDY_KEYS = {
 }
 STUDIES = tuple(STUDY_KEYS)
 
-# Keys read only under one value of another key: key -> (that key, the value).
-GATED_KEYS = {"tau": ("scaling", "log"), "alpha1": ("optimizer", "sgd"),
-              "learning_rate": ("optimizer", "adam"), "learn_lengthscales": ("optimizer", "adam"),
-              "input_sd": ("input_kind", "gaussian"), "input_low": ("input_kind", "uniform"),
-              "input_high": ("input_kind", "uniform")}
+# Keys read only under some values of other keys: key -> {governing key: its
+# values}. A gate applies to a command that has its governing key.
+_GP_ONLY = {"generator": ("gp",)}
+GATED_KEYS = {"tau": {"scaling": ("log",)}, "alpha1": {"optimizer": ("sgd",)},
+              "learning_rate": {"optimizer": ("adam",)},
+              "learn_lengthscales": {"optimizer": ("adam",)},
+              "input_sd": {"input_kind": ("gaussian",)}, "input_low": {"input_kind": ("uniform",)},
+              "input_high": {"input_kind": ("uniform",)}, "epochs": {"iterations": (None,)},
+              "noise_sd": {"generator": tuple(BENCHMARK_FUNCTIONS)},
+              "theta_signal": {**_GP_ONLY, "params": (None,)},
+              "theta_noise": {**_GP_ONLY, "params": (None,)},
+              **{key: _GP_ONLY for key in _KERNEL_KEYS}}
 
 _SEED = Key(0, "int", NONNEGATIVE)
 
@@ -176,7 +181,7 @@ KEYS: dict[str, dict[str, Key]] = {
         "data": Key(None, "path"),
         "seed": _SEED,
         "optimizer": Key("sgd", "choice", choices=("sgd", "adam")),
-        "iterations": Key(None, "int", NONNEGATIVE, nullable=True),  # overrides epochs
+        "iterations": Key(None, "int", NONNEGATIVE, nullable=True),  # replaces epochs
         "learning_rate": Key(0.01, "float", POSITIVE),
         "learn_lengthscales": Key(False, "bool"),
         **_SGD_KEYS,
@@ -185,13 +190,13 @@ KEYS: dict[str, dict[str, Key]] = {
     "predict": {
         "train": Key(None, "path"),
         "test": Key(None, "path"),
-        "params": Key(None, "path", nullable=True),   # params.json from fit; overrides theta_*
+        "params": Key(None, "path", nullable=True),   # params.json from fit; replaces theta_*
         **_theta_keys("theta", [1.0], 1.0),
         "strategy": Key("auto", "choice", choices=("auto", *(s.value for s in PredictStrategy))),
         "cg_tol": Key(1e-6, "float", POSITIVE),
         "cg_max_iter": Key(1000, "int", POSITIVE),
         "n_neighbors": Key(256, "int", POSITIVE),
-        "seed": _SEED,
+        "seed": _SEED,   # read by no predict; taken only at its default
         **_KERNEL_KEYS,
     },
     "diagnose": {
@@ -338,10 +343,14 @@ def _check_rules(command: str, c: dict) -> None:
     study = c.get("study")
     # The keys the run does not read, each with the reason; they must keep their default.
     read = STUDY_KEYS[study] | {"seed", "study"} if study else set(c)
-    unread = {key: f"does not apply to {study}" for key in set(c) - read}
-    for key, (governor, value) in GATED_KEYS.items():
-        if governor in c and key not in unread and c[governor] != value:
-            unread[key] = f"applies only with {governor}={value}"
+    if command == "predict":   # it draws nothing at random
+        read.discard("seed")
+    unread = {key: f"does not apply to {study or command}" for key in set(c) - read}
+    for key, gates in GATED_KEYS.items():
+        for governor, values in gates.items():
+            if governor in c and key not in unread and c[governor] not in values:
+                unread[key] = "applies only with " + " or ".join(
+                    f"{governor}={'null' if v is None else v}" for v in values)
     for key in sorted(unread):
         spec = KEYS[command][key]
         if c[key] != _typed(key, spec, spec.default):
@@ -362,7 +371,7 @@ def _check_rules(command: str, c: dict) -> None:
                                        or study in ("curvature", "param-convergence")):
             raise ConfigError(f"{study or command} uses a single kernel")
         for key in ("theta_signal", "theta0_signal"):
-            if key in c and key not in unread and not (key == "theta_signal" and c.get("params")):
+            if key in c and key not in unread:
                 _check_theta_length(key, c[key], kernels)
         if "input_dim" in c:
             for spec in kernels.components:
@@ -469,6 +478,32 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """The CSV of every output table: a float cell (numpy floats too) as its
+    shortest round-trip repr, None as an empty cell, any other cell with str.
+    The whole text is built before `_atomic_write`, so a row that raises
+    leaves `path` as it was."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_trace(path: Path, trace) -> None:
+    """One row per iteration of a FitTrace, with no wall-clock column; the
+    grad_norm_sq column is there when some norm was recorded, empty in the
+    other rows."""
+    has_norms = bool(trace.grad_norm_recorded.any())
+    columns = zip(trace.step_size.tolist(), trace.theta.tolist(), trace.grad_norm_sq.tolist(),
+                  trace.grad_norm_recorded.tolist())
+    _write_table(path, ["iter", "alpha", *trace.param_names] + ["grad_norm_sq"] * has_norms,
+                 ([k, step, *theta] + [norm if recorded else None] * has_norms
+                  for k, (step, theta, norm, recorded) in enumerate(columns)))
+
+
 def _write_summary(out: Path, command: str, cfg: dict, started: float, extra: dict) -> None:
     lines = [
         f"command: {command}",
@@ -507,7 +542,7 @@ def cmd_fit(c: dict, out: Path) -> dict:
     else:
         trace = adam_fit(dataset, c["kernels"], run_cfg, theta0,
                          learn_lengthscales=c["learn_lengthscales"])
-    trace.to_csv(out / "trace.csv")
+    _write_trace(out / "trace.csv", trace)
     final = trace.final_theta
     params = {
         "theta_signal": list(final.signal_variances),
@@ -537,15 +572,10 @@ def cmd_predict(c: dict, out: Path) -> dict:
         chosen = None if c["strategy"] == "auto" else PredictStrategy(c["strategy"])
         result = predict(theta, kernels, train.X, train.y, test.X, strategy=chosen,
                          cg_tol=c["cg_tol"], cg_max_iter=c["cg_max_iter"])
-
-    lines = ["index,mean,variance,truth,abs_err"]
-    for i in range(test.n):
-        err = abs(result.mean[i] - test.y[i])
-        lines.append(
-            f"{i},{repr(float(result.mean[i]))},{repr(float(result.variance[i]))},"
-            f"{repr(float(test.y[i]))},{repr(float(err))}"
-        )
-    _atomic_write(out / "predictions.csv", "\n".join(lines) + "\n")
+    columns = zip(result.mean.tolist(), result.variance.tolist(), test.y.tolist())
+    _write_table(out / "predictions.csv", ["index", "mean", "variance", "truth", "abs_err"],
+                 ((i, mean, var, truth, abs(mean - truth))
+                  for i, (mean, var, truth) in enumerate(columns)))
     value = rmse(result.mean, test.y)
     print(f"rmse={value!r}")
     extra = {"rmse": repr(value), "strategy": result.strategy.value, "rows": test.n}
@@ -555,8 +585,9 @@ def cmd_predict(c: dict, out: Path) -> dict:
     return extra
 
 
-def _curvature(c: dict):
-    return curvature_experiment(
+def _curvature(c: dict, out: Path) -> list:
+    """The curvature experiment the keys give, written to curvature.csv."""
+    reports = curvature_experiment(
         pool_size=c["n"],
         m_grid=list(c["m_grid"]),
         replicates=c["replicates"],
@@ -566,19 +597,22 @@ def _curvature(c: dict):
         seed=c["seed"],
         input_dim=c["input_dim"],
     )
+    _write_table(out / "curvature.csv", ["m", "scheme", "replicates", "mean", "sd"],
+                 ((r.m, r.scheme.value, r.replicates, r.mean, r.sd) for r in reports))
+    return reports
 
 
 def cmd_diagnose(c: dict, out: Path) -> dict:
-    reports = _curvature(c)
-    curvature_reports_to_csv(reports, out / "curvature.csv")
-
+    reports = _curvature(c, out)
     n = c["n"]
     pool_rng_seed = derived_seed(c["seed"], "diagnose-eigendecay")
     X = _input_dist(c).sample(np.random.Generator(np.random.Philox(pool_rng_seed)), n,
                               c["input_dim"])
     spectrum = sym_eigenvalues(kernel_matrix(c["kernels"].components[0], X))
     fit = eigendecay_fit(spectrum, n, c["decay_family"], index_range=c["fit_index_range"])
-    eigendecay_fits_to_csv([fit], out / "eigendecay.csv")
+    _write_table(out / "eigendecay.csv",
+                 ["family", "rate", "scale", "index_lo", "index_hi", "residual"],
+                 [(fit.family.value, fit.rate, fit.scale, *fit.index_range, fit.residual)])
     return {
         "curvature_rows": len(reports),
         "eigendecay_rate": repr(fit.rate),
@@ -654,7 +688,8 @@ def _study_fits(c: dict, out: Path, jobs: int) -> dict:
         runs.setdefault(tag, [None] * c["reps"])[rep] = (history, iters, norms)
         clamp_total += clamps
         clip_total += clips
-        _write_history_csv(out / f"{tag}_rep{rep}_trace.csv", history, names)
+        _write_table(out / f"{tag}_rep{rep}_trace.csv", ["iter", *names],
+                     ([k, *row] for k, row in enumerate(history.tolist())))
     grad = c["study"] == "grad-convergence"
     final_means = {}
     for tag, results in runs.items():
@@ -682,22 +717,12 @@ def _study_fits(c: dict, out: Path, jobs: int) -> dict:
     return summary
 
 
-def _write_history_csv(path: Path, history: np.ndarray, names: list[str]) -> None:
-    lines = [",".join(["iter"] + list(names))]
-    for k in range(history.shape[0]):
-        lines.append(",".join([str(k)] + [repr(float(v)) for v in history[k]]))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _aggregate_csv(path: Path, iters, mean, sd, names: list[str]) -> None:
     """One row per iteration: the mean and sd across repetitions of each
     named column."""
-    header = ["iter"] + [f"{name}_{stat}" for name in names for stat in ("mean", "sd")]
-    lines = [",".join(header)]
-    for k, mean_row, sd_row in zip(iters, mean, sd):
-        values = [repr(float(v)) for pair in zip(mean_row, sd_row) for v in pair]
-        lines.append(",".join([str(int(k))] + values))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, ["iter", *(f"{name}_{stat}" for name in names for stat in ("mean", "sd"))],
+                 ([int(k), *(v for pair in zip(mean_row, sd_row) for v in pair)]
+                  for k, mean_row, sd_row in zip(iters, mean, sd)))
 
 
 def _study_lengthscale_monotone(c: dict, out: Path) -> dict:
@@ -706,8 +731,8 @@ def _study_lengthscale_monotone(c: dict, out: Path) -> dict:
     grid = list(c["lengthscale_grid"])
     values = [surrogate_curvature(theta, gaussian_kernel_eigenvalues(c["input_sd"], l, m), m)
               for l in grid]
-    lines = ["lengthscale,gamma_tilde"] + [f"{l!r},{v!r}" for l, v in zip(grid, values)]
-    _atomic_write(out / "lengthscale_curvature.csv", "\n".join(lines) + "\n")
+    _write_table(out / "lengthscale_curvature.csv", ["lengthscale", "gamma_tilde"],
+                 zip(grid, values))
     if np.any(np.diff(values) < 0):
         raise RuntimeError(
             f"surrogate curvature is not nondecreasing over the lengthscale grid: {values}"
@@ -717,9 +742,7 @@ def _study_lengthscale_monotone(c: dict, out: Path) -> dict:
 
 def cmd_experiment(c: dict, out: Path, jobs: int) -> dict:
     if c["study"] == "curvature":
-        reports = _curvature(c)
-        curvature_reports_to_csv(reports, out / "curvature.csv")
-        return {"rows": len(reports)}
+        return {"rows": len(_curvature(c, out))}
     if c["study"] == "lengthscale-monotone":
         return _study_lengthscale_monotone(c, out)
     return _study_fits(c, out, jobs)

@@ -68,7 +68,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     provenance: dict | None = None
-    normalization: NormalizationMeta | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -207,26 +206,9 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Normaliz
     if np.any(x_sd <= 0) or y_sd <= 0:
         raise ValueError("cannot normalize a zero-variance column")
     meta = NormalizationMeta(x_mean=x_mean, x_sd=x_sd, y_mean=y_mean, y_sd=y_sd)
-    train_norm = replace(
-        train, X=(train.X - x_mean) / x_sd, y=(train.y - y_mean) / y_sd, normalization=meta
-    )
-    test_norm = replace(
-        test, X=(test.X - x_mean) / x_sd, y=(test.y - y_mean) / y_sd, normalization=meta
-    )
+    train_norm = replace(train, X=(train.X - x_mean) / x_sd, y=(train.y - y_mean) / y_sd)
+    test_norm = replace(test, X=(test.X - x_mean) / x_sd, y=(test.y - y_mean) / y_sd)
     return train_norm, test_norm, meta
-
-
-def denormalize(dataset: Dataset) -> Dataset:
-    """Invert `normalize` using the metadata carried by the dataset."""
-    meta = dataset.normalization
-    if meta is None:
-        raise ValueError("dataset carries no normalization metadata")
-    return replace(
-        dataset,
-        X=dataset.X * meta.x_sd + meta.x_mean,
-        y=dataset.y * meta.y_sd + meta.y_mean,
-        normalization=None,
-    )
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:

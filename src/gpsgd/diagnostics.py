@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +42,6 @@ class CurvatureReport:
     values: np.ndarray
     mean: float
     sd: float
-    theta: HyperParams
 
 
 @dataclass(frozen=True)
@@ -282,26 +280,6 @@ def curvature_experiment(
                     values=values,
                     mean=float(values.mean()),
                     sd=float(values.std(ddof=0)),
-                    theta=theta,
                 )
             )
     return reports
-
-
-def curvature_reports_to_csv(reports: list[CurvatureReport], path: str | Path) -> None:
-    lines = ["m,scheme,replicates,mean,sd"]
-    for rep in reports:
-        lines.append(
-            f"{rep.m},{rep.scheme.value},{rep.replicates},{repr(rep.mean)},{repr(rep.sd)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def eigendecay_fits_to_csv(fits: list[EigendecayFit], path: str | Path) -> None:
-    lines = ["family,rate,scale,index_lo,index_hi,residual"]
-    for fit in fits:
-        lines.append(
-            f"{fit.family.value},{repr(fit.rate)},{repr(fit.scale)},"
-            f"{fit.index_range[0]},{fit.index_range[1]},{repr(fit.residual)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

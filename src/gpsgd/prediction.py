@@ -47,7 +47,6 @@ class PredictionResult:
     mean: np.ndarray
     variance: np.ndarray
     strategy: PredictStrategy
-    cross_covariance: np.ndarray | None = None
     cg_iterations: list[int] | None = None
 
 
@@ -64,16 +63,6 @@ def _as_inputs(X_train, X_test):
     return X_train, X_test
 
 
-def _prepare(theta, kernels, X_train, X_test):
-    X_train, X_test = _as_inputs(X_train, X_test)
-    eff = effective_kernels(kernels, theta)
-    k_star = np.zeros((X_train.shape[0], X_test.shape[0]))
-    for variance, spec in zip(theta.signal_variances, eff.components):
-        k_star += variance * cross_kernel_matrix(spec, X_train, X_test)
-    prior_var = float(sum(theta.signal_variances))  # unit-diagonal kernels
-    return X_train, X_test, eff, k_star, prior_var
-
-
 def predict(
     theta: HyperParams,
     kernels: MultiKernel,
@@ -83,7 +72,6 @@ def predict(
     strategy: PredictStrategy | None = None,
     cg_tol: float = 1e-6,
     cg_max_iter: int = 1000,
-    return_cov: bool = False,
 ) -> PredictionResult:
     """Predictive mean and variance at the test inputs.
 
@@ -91,7 +79,11 @@ def predict(
     and CG above. Exact and CG agree within a small multiple of cg_tol.
     """
     y_train = np.asarray(y_train, dtype=np.float64)
-    X_train, X_test, eff, k_star, prior_var = _prepare(theta, kernels, X_train, X_test)
+    X_train, X_test = _as_inputs(X_train, X_test)
+    k_star = np.zeros((X_train.shape[0], X_test.shape[0]))
+    for variance, spec in zip(theta.signal_variances, effective_kernels(kernels, theta).components):
+        k_star += variance * cross_kernel_matrix(spec, X_train, X_test)
+    prior_var = float(sum(theta.signal_variances))  # unit-diagonal kernels
     n = X_train.shape[0]
     if strategy is None:
         strategy = PredictStrategy.EXACT if n < EXACT_SIZE_LIMIT else PredictStrategy.CG
@@ -127,16 +119,8 @@ def predict(
 
     # k*^T K^-1 k* is left^T right: W_k^T W_k (exact) or k*^T V (CG).
     variance = np.maximum(prior_var - np.einsum("ij,ij->j", left, right), 0.0)
-    cross = None
-    if return_cov:
-        prior_cov = np.zeros((X_test.shape[0], X_test.shape[0]))
-        for variance_l, spec in zip(theta.signal_variances, eff.components):
-            prior_cov += variance_l * cross_kernel_matrix(spec, X_test, X_test)
-        cross = prior_cov - left.T @ right
-    return PredictionResult(
-        mean=mean, variance=variance, strategy=strategy,
-        cross_covariance=cross, cg_iterations=iterations,
-    )
+    return PredictionResult(mean=mean, variance=variance, strategy=strategy,
+                            cg_iterations=iterations)
 
 
 def _require_converged(result) -> None:

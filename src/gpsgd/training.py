@@ -22,7 +22,6 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -210,23 +209,6 @@ class FitTrace:
     @property
     def final_theta(self) -> HyperParams:
         return HyperParams.from_vector(self.theta[-1], self.n_kernels, self.has_lengthscales)
-
-    def to_csv(self, path: str | Path) -> None:
-        """One row per iteration, full-precision floats, and no wall-clock
-        column: reruns with the same seed produce byte-identical files."""
-        has_grad_norm = bool(self.grad_norm_recorded.any())
-        header = ["iter", "alpha"] + list(self.param_names)
-        if has_grad_norm:
-            header.append("grad_norm_sq")
-        lines = [",".join(header)]
-        columns = zip(self.step_size.tolist(), self.theta.tolist(), self.grad_norm_sq.tolist(),
-                      self.grad_norm_recorded.tolist())
-        for k, (step, theta, norm_sq, recorded) in enumerate(columns):
-            row = [str(k), repr(step)] + [repr(v) for v in theta]
-            if has_grad_norm:
-                row.append(repr(norm_sq) if recorded else "")
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 class FitDivergedError(Exception):

@@ -3,10 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gpsgd import HyperParams, KernelSpec, MultiKernel, PredictStrategy, load_csv, predict
-from gpsgd.cli import main
+from gpsgd.cli import _write_table, main
 
 
 def run(args):
@@ -283,13 +284,35 @@ def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
     ("simulate", ["input_kind=uniform", "input_sd=2"],
      "input_sd applies only with input_kind=gaussian"),
     ("experiment", _VARY_M + ["scaling=linear", "tau=7"], "tau applies only with scaling=log"),
+    ("fit", ["iterations=5", "epochs=9"], "epochs applies only with iterations=null"),
+    ("simulate", ["noise_sd=3"], "noise_sd applies only with generator=levy or generator=griewank"),
+    ("simulate", ["generator=levy", "theta_noise=7"], "theta_noise applies only with generator=gp"),
+    ("simulate", ["generator=levy", "lengthscales=[3]"],
+     "lengthscales applies only with generator=gp"),
+    ("simulate", ["generator=levy", "kernel_family=matern"],
+     "kernel_family applies only with generator=gp"),
+    ("predict", ["params=params.json", "theta_signal=[9]"],
+     "theta_signal applies only with params=null"),
+    ("predict", ["params=params.json", "theta_noise=3"],
+     "theta_noise applies only with params=null"),
+    ("predict", ["seed=7"], "seed does not apply to predict"),
 ], ids=["fit-tau-linear", "fit-learning-rate-sgd", "fit-learn-lengthscales-sgd",
         "fit-alpha1-adam", "simulate-input-low-gaussian", "simulate-input-sd-uniform",
-        "vary-m-tau-linear"])
-def test_keys_another_key_turns_off_exit_two(tmp_path, capsys, command, settings, message):
-    args = [command, "--out", tmp_path / "bad", "--seed", 1]
+        "vary-m-tau-linear", "fit-epochs-iterations", "simulate-noise-sd-gp",
+        "simulate-theta-noise-levy", "simulate-lengthscales-levy", "simulate-kernel-family-levy",
+        "predict-theta-signal-params", "predict-theta-noise-params", "predict-seed"])
+def test_keys_another_key_turns_off_exit_two(tmp_path, monkeypatch, capsys, command, settings,
+                                             message):
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--out", tmp_path / "bad"]
     if command == "fit":
         settings = [f"data={simulate_small(tmp_path) / 'dataset.csv'}", *settings]
+    elif command == "predict":
+        csv = simulate_small(tmp_path) / "dataset.csv"
+        (tmp_path / "params.json").write_text('{"theta_signal": [2.0], "theta_noise": 0.5}')
+        settings = [f"train={csv}", f"test={csv}", *settings]
+    if command != "predict":
+        args += ["--seed", 1]
     for kv in settings:
         args += ["--set", kv]
     assert run(args) == 2
@@ -304,6 +327,38 @@ def test_gated_keys_at_their_default_are_accepted(tmp_path):
                 "--set", "learn_lengthscales=false"]) == 0
     assert run(["simulate", "--out", tmp_path / "sim", "--set", "n=8",
                 "--set", "input_kind=uniform", "--set", "input_sd=5"]) == 0
+    assert run(["fit", "--out", tmp_path / "fit_iters", "--set", f"data={csv}", "--set", "m=16",
+                "--set", "iterations=2", "--set", "epochs=25"]) == 0
+    assert run(["simulate", "--out", tmp_path / "gp", "--set", "n=8", "--set", "noise_sd=1"]) == 0
+    assert run(["simulate", "--out", tmp_path / "levy", "--set", "n=8", "--set", "generator=levy",
+                "--set", "theta_noise=1", "--set", "lengthscales=[0.5]",
+                "--set", "kernel_family=rbf"]) == 0
+    params = tmp_path / "params.json"
+    params.write_text('{"theta_signal": [2.0], "theta_noise": 0.5}')
+    assert run(["predict", "--out", tmp_path / "pred", "--seed", 0, "--set", f"train={csv}",
+                "--set", f"test={csv}", "--set", f"params={params}",
+                "--set", "theta_signal=[1]", "--set", "theta_noise=1"]) == 0
+
+
+def test_write_table_cells_round_trip_and_atomic(tmp_path):
+    path = tmp_path / "table.csv"
+    third = 1 / 3
+    _write_table(path, ["f", "np", "short", "int", "none", "str"],
+                 [(third, np.float64(third), np.float64(0.1), 7, None, "uniform")])
+    text = path.read_text()
+    header, row = text.splitlines()
+    assert header == "f,np,short,int,none,str"
+    assert row == f"{third!r},{third!r},0.1,7,,uniform" and text.endswith("\n")
+    assert float(row.split(",")[0]) == third and float(row.split(",")[1]) == third
+
+    def failing_rows():
+        yield (1.0,)
+        raise RuntimeError("row failed")
+
+    with pytest.raises(RuntimeError):
+        _write_table(path, ["f"], failing_rows())
+    assert path.read_text() == text
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_a_study_takes_keys_it_ignores_at_their_default(tmp_path):

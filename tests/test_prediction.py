@@ -95,16 +95,6 @@ def test_default_strategy_picks_exact_below_threshold():
     assert result.strategy == PredictStrategy.EXACT
 
 
-def test_return_cov_diagonal_matches_variance():
-    theta = HyperParams((4.0,), 1.0)
-    ds = simulate_gp(MK, theta, 50, Gaussian(5.0), 1, seed=9)
-    X_test = component_rng(10, "cov-test").normal(0, 5.0, size=(6, 1))
-    result = predict(theta, MK, ds.X, ds.y, X_test, return_cov=True)
-    assert result.cross_covariance.shape == (6, 6)
-    assert np.allclose(np.diag(result.cross_covariance), result.variance, atol=1e-10)
-    assert np.allclose(result.cross_covariance, result.cross_covariance.T, atol=1e-10)
-
-
 def test_exact_one_pass_matches_two_solve_oracle():
     # The oracle solves K alpha = y and K V = k* with two triangular passes
     # each; predict takes both from the one forward pass L^-1 [y | k*].
@@ -112,8 +102,7 @@ def test_exact_one_pass_matches_two_solve_oracle():
     kernels = MultiKernel((KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0)))
     ds = simulate_gp(kernels, theta, 150, Gaussian(5.0), 1, seed=13)
     X_test = component_rng(14, "one-pass-test").normal(0, 5.0, size=(30, 1))
-    result = predict(theta, kernels, ds.X, ds.y, X_test, strategy=PredictStrategy.EXACT,
-                     return_cov=True)
+    result = predict(theta, kernels, ds.X, ds.y, X_test, strategy=PredictStrategy.EXACT)
 
     def cross(A, B):
         return sum(v * cross_kernel_matrix(spec, A, B)
@@ -129,7 +118,6 @@ def test_exact_one_pass_matches_two_solve_oracle():
 
     assert rel(result.mean, mean) < 1e-12
     assert rel(result.variance, np.diag(cov)) < 1e-12
-    assert rel(result.cross_covariance, cov) < 1e-12
 
 
 def test_predict_nn_full_set_equals_exact():

@@ -24,6 +24,7 @@ from gpsgd import (
     stochastic_gradient,
 )
 from gpsgd import training
+from gpsgd.cli import _write_trace
 from gpsgd.data import Uniform, levy, simulate_function
 from gpsgd.kernels import kernel_matrix_grad, marginal_covariance
 from gpsgd.linalg import cholesky, solve, two_sided_solve
@@ -424,10 +425,11 @@ def test_adam_steps_replay_from_recorded_gradients():
 
 
 def test_trace_csv_format(tmp_path):
+    # the trace.csv that `gpsgd fit` writes
     config = SGDConfig(m=16, iterations=3, alpha1=2.0, seed=24, grad_norm_every=3)
     trace = sgd_fit(_dataset(), MK, config, HyperParams((3.0,), 2.0))
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    _write_trace(path, trace)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iter,alpha,theta_1,theta_2,grad_norm_sq"   # no elapsed_ms column
     assert len(lines) == 5
