@@ -39,6 +39,7 @@ from .data import (
     simulate_gp,
 )
 from .diagnostics import (
+    MIN_FIT_EIGENVALUES,
     DecayFamily,
     curvature_experiment,
     eigendecay_fit,
@@ -162,6 +163,9 @@ GATED_KEYS = {"tau": {"scaling": ("log",)}, "alpha1": {"optimizer": ("sgd",)},
               "noise_sd": {"generator": tuple(BENCHMARK_FUNCTIONS)},
               "theta_signal": {**_GP_ONLY, "params": (None,)},
               "theta_noise": {**_GP_ONLY, "params": (None,)},
+              # auto picks CG from n >= 10^4, so it reads the CG keys too
+              "cg_tol": {"strategy": ("auto", "cg")}, "cg_max_iter": {"strategy": ("auto", "cg")},
+              "n_neighbors": {"strategy": ("nearest",)},
               **{key: _GP_ONLY for key in _KERNEL_KEYS}}
 
 _SEED = Key(0, "int", NONNEGATIVE)
@@ -387,6 +391,11 @@ def _check_rules(command: str, c: dict) -> None:
         pair = c.get(key)
         if pair is not None and not (len(pair) == 2 and pair[0] < pair[1]):
             raise ConfigError(f"{key} must be [lo, hi] with lo < hi, got {list(pair)}")
+    if c.get("fit_index_range") is not None:
+        lo, hi = c["fit_index_range"]
+        if min(hi, c["n"]) - lo + 1 < MIN_FIT_EIGENVALUES:
+            raise ConfigError(f"fit_index_range {[lo, hi]} holds fewer than "
+                              f"{MIN_FIT_EIGENVALUES} of the eigenvalue indices 1..{c['n']}")
     if command == "diagnose" or study == "curvature":
         _check_batch_sizes("m_grid", c["m_grid"], c["n"])
     elif study == "param-convergence":
@@ -417,7 +426,9 @@ def _check_theta_length(key: str, signal: tuple, kernels: MultiKernel) -> None:
 
 def _check_batch_sizes(key: str, sizes, n: int, scaling: ScalingMode | None = None) -> None:
     """Each size in [1, n], and at least MIN_LOG_SCALED_M when the signal
-    slots are log-scaled."""
+    slots are log-scaled. A grid holds each size once."""
+    if isinstance(sizes, tuple) and len(set(sizes)) != len(sizes):
+        raise ConfigError(f"{key} must not repeat an entry, got {list(sizes)}")
     for m in sizes if isinstance(sizes, tuple) else (sizes,):
         if not 1 <= m <= n:
             raise ConfigError(f"{key} must be in [1, {n}], got {m}")

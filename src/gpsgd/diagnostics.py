@@ -198,6 +198,7 @@ def gaussian_kernel_eigenvalues(input_sd: float, lengthscale: float, count: int)
 
 
 EIG_FLOOR_RATIO = 1e-12
+MIN_FIT_EIGENVALUES = 3   # a decay law is fitted to at least this many
 
 
 def eigendecay_fit(
@@ -220,8 +221,9 @@ def eigendecay_fit(
     if index_range is not None:
         lo, hi = index_range
         usable &= (j >= lo) & (j <= hi)
-    if int(usable.sum()) < 3:
-        raise ValueError(f"only {int(usable.sum())} usable eigenvalues; need at least 3")
+    count = int(usable.sum())
+    if count < MIN_FIT_EIGENVALUES:
+        raise ValueError(f"only {count} usable eigenvalues; need at least {MIN_FIT_EIGENVALUES}")
     jj = j[usable]
     log_vals = np.log(values[usable])
     predictor = jj.astype(np.float64) if family == DecayFamily.EXPONENTIAL else np.log(jj)

@@ -24,9 +24,9 @@ equals building every entry; the only n x n array allocated is the result.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -396,50 +396,51 @@ def marginal_covariance(kernels: MultiKernel, theta: HyperParams, X: np.ndarray)
     return _from_tiles(X.shape[0], X.shape[0], tile, True)
 
 
-def covariance_and_grads(
+def covariance_and_contraction(
     kernels: MultiKernel, theta: HyperParams, X: np.ndarray
-) -> tuple[np.ndarray, Iterator[np.ndarray | None]]:
-    """K(theta) over the rows of X and, lazily, dK/dtheta_l for every flat
-    slot in HyperParams.to_vector() order.
-
-    The iterator yields the base matrix K_c for each signal slot, then None
-    for the noise slot (whose derivative is the identity), then one matrix
-    per lengthscale slot. Each base matrix and pairwise distance matrix is
-    computed once and shared by K and the derivatives; derivative matrices
-    are built one at a time, so no (n, n, slots) array exists. K equals
-    `marginal_covariance` bit for bit; each derivative equals
-    `kernel_matrix_grad` for its slot.
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """K(theta) over the rows of X, and `contract(W)`: <W, dK/dtheta_l> for
+    every flat slot in HyperParams.to_vector() order, no derivative matrix
+    built. With B_c the base matrix of kernel c:
+    * signal slot: <W, B_c>; noise slot: tr(W);
+    * RBF lengthscale d: dB_c/dl_d = B_c o (dz_d)^2 / l_d with z = x / l, so
+      theta_c / l_d * sum_ab (W o B_c)_ab (z_ad - z_bd)^2, one dimension at
+      a time so that no array exceeds n x n;
+    * Matern scale: theta_c <W, dprofile/dh(r)> on the distances of B_c.
+    K equals `marginal_covariance` and the signal and noise entries equal
+    <W, kernel_matrix_grad(...)> bit for bit; the scale entries agree to
+    rounding.
     """
     _check_theta(kernels, theta)
     eff = effective_kernels(kernels, theta)
     X = _check_inputs(eff.components[0], X)
-    n = X.shape[0]
     learn = theta.lengthscales is not None
     bases, dists = [], []
     for spec in eff.components:
-        # Only the Matern d/dh needs the distances again; RBF reuses K_c.
-        if learn and spec.family == KernelFamily.MATERN:
-            sq = _scaled_sq_dists(spec, X)
-            bases.append(_kernel_from_sq(spec, sq, True))
-            dists.append(sq)
-        else:
-            bases.append(_base_matrix(spec, X))
-            dists.append(None)
-    K = np.zeros((n, n))
-    for variance, base in zip(theta.signal_variances, bases):
-        K += variance * base
-    K[np.diag_indices(n)] += theta.noise_variance
+        # Only the Matern d/dh needs the distances again; RBF reuses B_c.
+        sq = _scaled_sq_dists(spec, X) if learn and spec.family == KernelFamily.MATERN else None
+        bases.append(_base_matrix(spec, X) if sq is None else _kernel_from_sq(spec, sq, True))
+        dists.append(sq)
+    K = sum(variance * base for variance, base in zip(theta.signal_variances, bases))
+    K[np.diag_indices(X.shape[0])] += theta.noise_variance
 
-    def slots() -> Iterator[np.ndarray | None]:
-        yield from bases
-        yield None
-        if learn:
-            for c, d in kernels.lengthscale_slots():
-                spec = eff.components[c]
-                yield theta.signal_variances[c] * _lengthscale_grad_from(
-                    spec, X, d, bases[c], dists[c])
+    def contract(W: np.ndarray) -> np.ndarray:
+        out = [np.einsum("ab,ab->", W, base) for base in bases] + [np.trace(W)]
+        scaled = zip(theta.signal_variances, eff.components, bases, dists) if learn else ()
+        for variance, spec, base, sq in scaled:
+            if spec.family == KernelFamily.MATERN:
+                dh = _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
+                out.append(variance * np.einsum("ab,ab->", W, dh))
+                continue
+            WB, Z = W * base, _scaled_inputs(spec, X)
+            dz = np.empty_like(WB)
+            for d, l in enumerate(spec.lengthscales):
+                np.subtract(Z[:, None, d], Z[None, :, d], out=dz)
+                dz *= dz
+                out.append(variance / l * np.einsum("ab,ab->", WB, dz))
+        return np.array(out)
 
-    return K, slots()
+    return K, contract
 
 
 def kernel_matrix_grad(
@@ -480,15 +481,4 @@ def base_lengthscale_grad(spec: KernelSpec, X: np.ndarray, dim: int) -> np.ndarr
         diff = X[:, None, dim] - X[None, :, dim]
         return kernel_matrix(spec, X) * diff**2 / l**3
     sq = _scaled_sq_dists(spec, X)
-    return _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
-
-
-def _lengthscale_grad_from(spec: KernelSpec, X: np.ndarray, dim: int, base: np.ndarray,
-                           sq: np.ndarray | None) -> np.ndarray:
-    """`base_lengthscale_grad` from an already built base matrix (RBF) or
-    squared-distance matrix (Matern), with the same floating-point steps."""
-    if spec.family == KernelFamily.RBF:
-        l = spec.lengthscales[dim]
-        diff = X[:, None, dim] - X[None, :, dim]
-        return base * diff**2 / l**3
     return _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])

@@ -29,7 +29,7 @@ from .data import Dataset
 from .kernels import (
     HyperParams,
     MultiKernel,
-    covariance_and_grads,
+    covariance_and_contraction,
     marginal_covariance,
     param_names,
 )
@@ -236,24 +236,18 @@ def _gradient_core(
     y: np.ndarray,
     divisors: np.ndarray,
 ) -> np.ndarray:
-    """Gradient slots <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) with a = K^-1 y,
-    from one Cholesky and one inverse of the covariance.
-
-    The Frobenius products are `einsum` loops rather than BLAS calls, so the
-    whole pass stays on scipy's BLAS pool (see the linalg docstring); the
-    noise slot, whose derivative is I, is the trace.
+    """Gradient slots <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) with a = K^-1 y:
+    one Cholesky, one inverse and one `contract` (see
+    covariance_and_contraction), whose `einsum` products keep the whole pass
+    on scipy's BLAS pool (see the linalg docstring).
     """
-    K, slots = covariance_and_grads(kernels, theta, X)
+    K, contract = covariance_and_contraction(kernels, theta, X)
     factor = cholesky(K)
     del K  # full_gradient runs this at n in the thousands: free K before the inverse
     alpha = solve(factor, y)
     W = inverse(factor)
     W -= np.outer(alpha, alpha)
-    grad = np.empty(theta.n_params)
-    for l, D in enumerate(slots):
-        inner = np.trace(W) if D is None else np.einsum("ab,ab->", W, D)
-        grad[l] = inner / (2.0 * divisors[l])
-    return grad
+    return contract(W) / (2.0 * divisors)
 
 
 def full_gradient(

@@ -181,6 +181,17 @@ def test_log_scaling_needs_three_points_per_batch(tmp_path, capsys):
     ("diagnose", ["decay_family=linear"],
      "decay_family must be one of ['exponential', 'polynomial'], got 'linear'"),
     ("diagnose", ["fit_index_range=[5,2]"], "fit_index_range must be [lo, hi] with lo < hi"),
+    ("diagnose", ["n=64", "m_grid=[8]", "replicates=2", "fit_index_range=[100,200]"],
+     "fit_index_range [100, 200] holds fewer than 3 of the eigenvalue indices 1..64"),
+    ("diagnose", ["n=64", "m_grid=[8]", "fit_index_range=[63,200]"],
+     "fit_index_range [63, 200] holds fewer than 3"),
+    ("diagnose", ["n=64", "m_grid=[8,8]"], "m_grid must not repeat an entry, got [8, 8]"),
+    ("experiment", ["study=curvature", "n=64", "m_grid=[8,16,8]"],
+     "m_grid must not repeat an entry, got [8, 16, 8]"),
+    ("experiment", ["study=vary-m", "n=64", "m_grid=[8,8]"],
+     "m_grid must not repeat an entry, got [8, 8]"),
+    ("experiment", ["study=grad-convergence", "n=64", "m_grid=[8,8]"],
+     "m_grid must not repeat an entry, got [8, 8]"),
     ("experiment", ["study=vary-m", "reps=0"], "reps must be a positive integer, got 0"),
     ("experiment", ["study=grad-convergence", "reps=0"], "reps must be a positive integer, got 0"),
     ("experiment", ["study=lengthscale-monotone", "surrogate_m=0"],
@@ -190,7 +201,10 @@ def test_log_scaling_needs_three_points_per_batch(tmp_path, capsys):
         "simulate-n-fraction", "simulate-n-bool", "simulate-input-sd-text", "fit-m-fraction",
         "fit-clamp-one-bound", "fit-clamp-text", "fit-log-tau-text", "predict-strategy",
         "predict-cg-max-iter-text", "diagnose-replicates-0", "diagnose-decay-family",
-        "diagnose-index-range-reversed", "vary-m-reps-0", "grad-convergence-reps-0",
+        "diagnose-index-range-reversed", "diagnose-index-range-past-n",
+        "diagnose-index-range-two-indices", "diagnose-m-grid-repeat", "curvature-m-grid-repeat",
+        "vary-m-m-grid-repeat", "grad-convergence-m-grid-repeat", "vary-m-reps-0",
+        "grad-convergence-reps-0",
         "monotone-surrogate-m-0"])
 def test_bad_n_or_input_dim_exits_two(tmp_path, capsys, command, settings, message):
     csv = simulate_small(tmp_path) / "dataset.csv" if command in ("fit", "predict") else None
@@ -296,11 +310,17 @@ def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
     ("predict", ["params=params.json", "theta_noise=3"],
      "theta_noise applies only with params=null"),
     ("predict", ["seed=7"], "seed does not apply to predict"),
+    ("predict", ["strategy=exact", "cg_tol=0.5"],
+     "cg_tol applies only with strategy=auto or strategy=cg"),
+    ("predict", ["strategy=nearest", "cg_max_iter=3"],
+     "cg_max_iter applies only with strategy=auto or strategy=cg"),
+    ("predict", ["n_neighbors=7"], "n_neighbors applies only with strategy=nearest"),
 ], ids=["fit-tau-linear", "fit-learning-rate-sgd", "fit-learn-lengthscales-sgd",
         "fit-alpha1-adam", "simulate-input-low-gaussian", "simulate-input-sd-uniform",
         "vary-m-tau-linear", "fit-epochs-iterations", "simulate-noise-sd-gp",
         "simulate-theta-noise-levy", "simulate-lengthscales-levy", "simulate-kernel-family-levy",
-        "predict-theta-signal-params", "predict-theta-noise-params", "predict-seed"])
+        "predict-theta-signal-params", "predict-theta-noise-params", "predict-seed",
+        "predict-cg-tol-exact", "predict-cg-max-iter-nearest", "predict-n-neighbors-auto"])
 def test_keys_another_key_turns_off_exit_two(tmp_path, monkeypatch, capsys, command, settings,
                                              message):
     monkeypatch.chdir(tmp_path)
@@ -338,6 +358,11 @@ def test_gated_keys_at_their_default_are_accepted(tmp_path):
     assert run(["predict", "--out", tmp_path / "pred", "--seed", 0, "--set", f"train={csv}",
                 "--set", f"test={csv}", "--set", f"params={params}",
                 "--set", "theta_signal=[1]", "--set", "theta_noise=1"]) == 0
+    for strategy, neighbors in (("exact", 256), ("nearest", 8)):
+        assert run(["predict", "--out", tmp_path / strategy, "--set", f"train={csv}",
+                    "--set", f"test={csv}", "--set", f"strategy={strategy}",
+                    "--set", "cg_tol=1e-6", "--set", "cg_max_iter=1000",
+                    "--set", f"n_neighbors={neighbors}"]) == 0
 
 
 def test_write_table_cells_round_trip_and_atomic(tmp_path):
@@ -476,6 +501,10 @@ def test_diagnose_outputs(tmp_path):
     decay = (out / "eigendecay.csv").read_text().strip().split("\n")
     assert decay[0] == "family,rate,scale,index_lo,index_hi,residual"
     assert float(decay[1].split(",")[1]) > 0
+    # a range reaching past n is cut at n
+    assert run(["diagnose", "--out", tmp_path / "past", "--seed", 4, "--set", "n=128",
+                "--set", "m_grid=[8]", "--set", "replicates=1",
+                "--set", "fit_index_range=[2,1000]"]) == 0
 
 
 def test_experiment_requires_seed_and_known_study(tmp_path):

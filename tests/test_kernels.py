@@ -20,7 +20,7 @@ from gpsgd import (
 from gpsgd.kernels import (
     KernelFamily,
     base_lengthscale_grad,
-    covariance_and_grads,
+    covariance_and_contraction,
     cross_kernel_matrix,
     effective_kernels,
 )
@@ -240,13 +240,42 @@ def test_tiled_assembly_bit_identical_to_row_blocks(case, n):
     K = marginal_covariance(kernels, theta, X)
     assert np.array_equal(K, _row_block_covariance(kernels, theta, X))
     assert np.array_equal(K, K.T)
-    assert np.array_equal(covariance_and_grads(kernels, theta, X)[0], K)
+    assert np.array_equal(covariance_and_contraction(kernels, theta, X)[0], K)
     for spec in effective_kernels(kernels, theta).components:
         base = kernel_matrix(spec, X)
         assert np.array_equal(base, _row_block_base(spec, X))
         assert np.array_equal(base, base.T)
         assert np.array_equal(cross_kernel_matrix(spec, X, X2), _row_block_base(spec, X, X2))
         assert np.array_equal(cross_kernel_matrix(spec, X2, X), _row_block_base(spec, X2, X))
+
+
+CONTRACTION_CASES = {
+    **TILED_CASES,
+    "matern-learned-h": (MultiKernel.single(KernelSpec.matern(1.5, 1.0)),
+                         HyperParams((2.0,), 0.5, (0.7,)), 2),
+    "rbf+matern-learned": (MultiKernel((KernelSpec.rbf((1.0, 1.0)), KernelSpec.matern(0.5, 1.0))),
+                           HyperParams((3.0, 1.0), 0.5, (0.4, 1.9, 1.3)), 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 16, 128, 129, 300])
+@pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+def test_contraction_matches_derivative_matrices(case, n):
+    kernels, theta, dim = CONTRACTION_CASES[case]
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, dim)) * 3
+    W = rng.normal(size=(n, n))
+    W += W.T
+    got = covariance_and_contraction(kernels, theta, X)[1](W)
+    want = [np.einsum("ab,ab->", W, kernel_matrix_grad(kernels, theta, X, l))
+            for l in range(theta.n_params)]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    # every output without learned lengthscales depends only on these
+    # entries, so they must not move by a bit
+    components = effective_kernels(kernels, theta).components
+    for c, spec in enumerate(components):
+        assert got[c] == np.einsum("ab,ab->", W, kernel_matrix(spec, X))
+    assert got[len(components)] == np.trace(W)
 
 
 def test_marginal_covariance_dimension_mismatch():
