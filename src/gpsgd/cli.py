@@ -264,6 +264,8 @@ def resolve_config(command: str, args) -> tuple[dict, dict]:
             loaded = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
+        except IsADirectoryError:
+            raise ConfigError(f"--config names a directory, not a file: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
@@ -378,10 +380,7 @@ def _check_rules(command: str, c: dict) -> None:
             if key in c and key not in unread:
                 _check_theta_length(key, c[key], kernels)
         if "input_dim" in c:
-            for spec in kernels.components:
-                if spec.family == KernelFamily.RBF and spec.n_lengthscales != c["input_dim"]:
-                    raise ConfigError(f"input_dim is {c['input_dim']} but an rbf kernel has "
-                                      f"{spec.n_lengthscales} lengthscales")
+            _check_input_dim(f"input_dim is {c['input_dim']}", c["input_dim"], kernels)
     if c.get("params") is not None:
         c["params"] = _read_params(c["params"], kernels)
     if c.get("input_kind") == "uniform" and not c["input_low"] < c["input_high"]:
@@ -411,12 +410,22 @@ def _check_rules(command: str, c: dict) -> None:
 
 
 def _load_dataset(c: dict, key: str) -> Dataset:
-    """The dataset CSV that `key` names; a file load_csv rejects is a bad
-    value of that key."""
+    """The dataset CSV that `key` names; a file load_csv rejects, or whose
+    input columns the kernels cannot take, is a bad value of that key."""
     try:
-        return load_csv(c[key])
+        dataset = load_csv(c[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    _check_input_dim(f"{key} has {dataset.input_dim} input columns", dataset.input_dim,
+                     c["kernels"])
+    return dataset
+
+
+def _check_input_dim(what: str, dim: int, kernels: MultiKernel) -> None:
+    """Each rbf kernel has one lengthscale per input dimension."""
+    for spec in kernels.components:
+        if spec.family == KernelFamily.RBF and spec.n_lengthscales != dim:
+            raise ConfigError(f"{what} but an rbf kernel has {spec.n_lengthscales} lengthscales")
 
 
 def _check_theta_length(key: str, signal: tuple, kernels: MultiKernel) -> None:
@@ -573,6 +582,9 @@ def cmd_fit(c: dict, out: Path) -> dict:
 def cmd_predict(c: dict, out: Path) -> dict:
     train = _load_dataset(c, "train")
     test = _load_dataset(c, "test")
+    if test.input_dim != train.input_dim:
+        raise ConfigError(f"test has {test.input_dim} input columns but train has "
+                          f"{train.input_dim}")
     kernels = c["kernels"]
     theta = c["params"] or _theta(c, "theta")
     if c["strategy"] == "nearest":
@@ -799,7 +811,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "experiment" and args.jobs < 1:
             raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(f"--out names a file, not a directory: {args.out}") from None
         if args.command == "experiment":
             extra = cmd_experiment(typed, out, args.jobs)
         else:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .kernels import HyperParams, KernelSpec, MultiKernel, kernel_matrix, kernel_matrix_grad, marginal_covariance
 from .linalg import cholesky, sym_eigenvalues, two_sided_solve
-from .sampling import Minibatch, SamplingScheme, build_index, nearby_batches, uniform_indices
+from .sampling import SamplingScheme, build_index, draw_batches
 from .seeds import component_rng
-from .training import ScalingPolicy, stochastic_gradient
+from .training import ScalingPolicy, _gradient_core
 
 
 class DecayFamily(str, Enum):
@@ -125,21 +125,20 @@ def monte_carlo_expected_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo check of the conditional expected gradient.
 
-    Draws y ~ N(0, K(theta_true)) via Cholesky of the true covariance and
-    averages the stochastic gradient over them; returns (mean, standard
-    error) per slot. Independent of the trace-formula route.
+    Draws y ~ N(0, K(theta_true)) via Cholesky of the true covariance, each
+    from the next m standard normals, and averages the minibatch gradient
+    that training uses over them; returns (mean, standard error) per slot.
+    All draws share one factorization of K(theta), passed to the gradient
+    as one m x draws block. Independent of the trace-formula route.
     """
     batch_X = np.asarray(batch_X, dtype=np.float64)
     if batch_X.ndim == 1:
         batch_X = batch_X[:, None]
     m = batch_X.shape[0]
     factor_true = cholesky(marginal_covariance(kernels, theta_true, batch_X))
-    batch = Minibatch(np.arange(m))
     rng = component_rng(seed, "mc-expected-gradient")
-    samples = np.empty((draws, theta.n_params))
-    for d in range(draws):
-        y = factor_true.lower @ rng.standard_normal(m)
-        samples[d] = stochastic_gradient(theta, kernels, batch, batch_X, y, scaling)
+    Y = factor_true.lower @ rng.standard_normal((draws, m)).T
+    samples = _gradient_core(theta, kernels, batch_X, Y, scaling.divisors(m, theta))
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(draws)
     return mean, stderr
@@ -254,9 +253,8 @@ def curvature_experiment(
     """Replicate-minibatch curvature under uniform and nearby sampling on a
     shared input pool; one report per (m, scheme).
 
-    Replicate `rep` of a cell draws from `component_rng(seed, cell, rep)` the
-    batch `draw_minibatch` would; a nearby cell takes all its centers first
-    and finds their neighbors in one `nearby_batches` call.
+    Replicate `rep` of a cell is the batch `draw_batches` draws from
+    `component_rng(seed, cell, rep)`, one call per cell.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -267,11 +265,8 @@ def curvature_experiment(
     for m in m_grid:
         for scheme in (SamplingScheme.UNIFORM, SamplingScheme.NEARBY):
             cell = f"curvature-{scheme.value}-m{m}"
-            rngs = [component_rng(seed, cell, rep) for rep in range(replicates)]
-            if scheme == SamplingScheme.UNIFORM:
-                batches = [uniform_indices(pool_size, m, rng) for rng in rngs]
-            else:
-                batches = nearby_batches(index, [rng.integers(pool_size) for rng in rngs], m)
+            rngs = (component_rng(seed, cell, rep) for rep in range(replicates))
+            batches = draw_batches(scheme, pool_size, m, rngs, index)
             values = np.array([noise_curvature(theta, sym_eigenvalues(kernel_matrix(kernel, X[b])))
                                for b in batches])
             reports.append(

@@ -18,6 +18,7 @@ every other row is farther than the (k + 1)-th.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,12 +119,6 @@ def build_index(X: np.ndarray) -> SpatialIndex:
     return SpatialIndex(X)
 
 
-def uniform_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m distinct indices from [0, n), every size-m subset equiprobable."""
-    _check_sizes(n, m)
-    return rng.choice(n, size=m, replace=False)
-
-
 def nearby_batches(index: SpatialIndex, centers: np.ndarray, m: int) -> np.ndarray:
     """Row r: centers[r], then its m-1 nearest other rows in query order.
 
@@ -142,22 +137,27 @@ def nearby_batches(index: SpatialIndex, centers: np.ndarray, m: int) -> np.ndarr
     return np.column_stack((centers, near[others].reshape(-1, m - 1)))
 
 
-def draw_minibatch(
-    scheme: SamplingScheme,
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    index: SpatialIndex | None = None,
-) -> Minibatch:
-    """One batch from `rng`: `uniform_indices`, or a uniformly drawn center
-    and its m-1 nearest other rows (one row of `nearby_batches`)."""
+def draw_batches(scheme: SamplingScheme, n: int, m: int, rngs: Iterable[np.random.Generator],
+                 index: SpatialIndex | None = None) -> np.ndarray:
+    """Row r: the batch drawn from the r-th stream of `rngs`. A uniform batch
+    is m distinct indices, every size-m subset equiprobable; a nearby batch is
+    a uniformly drawn center and its m-1 nearest other rows, all rows'
+    neighbors found in one `nearby_batches` call."""
+    _check_sizes(n, m)
     if scheme == SamplingScheme.UNIFORM:
-        return Minibatch(uniform_indices(n, m, rng))
+        rows = [rng.choice(n, size=m, replace=False) for rng in rngs]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), m)
     if index is None:
         raise ValueError("nearby sampling requires a spatial index")
     if index.n != n:
         raise ValueError(f"index covers {index.n} points, expected {n}")
-    return Minibatch(nearby_batches(index, [rng.integers(n)], m)[0])
+    return nearby_batches(index, [rng.integers(n) for rng in rngs], m)
+
+
+def draw_minibatch(scheme: SamplingScheme, n: int, m: int, rng: np.random.Generator,
+                   index: SpatialIndex | None = None) -> Minibatch:
+    """One batch from `rng`: the one row of `draw_batches`."""
+    return Minibatch(draw_batches(scheme, n, m, [rng], index)[0])
 
 
 def _check_sizes(n: int, m: int) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,14 +34,7 @@ from .kernels import (
     param_names,
 )
 from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
-from .sampling import (
-    Minibatch,
-    SamplingScheme,
-    SpatialIndex,
-    build_index,
-    nearby_batches,
-    uniform_indices,
-)
+from .sampling import Minibatch, SamplingScheme, SpatialIndex, build_index, draw_batches
 from .seeds import iteration_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -57,7 +50,7 @@ ADAM_EPS = 1e-8
 # Log-scaled signal slots need at least this many points per minibatch.
 MIN_LOG_SCALED_M = 3
 
-# Nearby batches a fit draws ahead at a time.
+# Batches a fit draws ahead at a time.
 SCHEDULE_CHUNK = 1024
 
 
@@ -212,7 +205,8 @@ class FitTrace:
 
 
 class FitDivergedError(Exception):
-    """An optimizer run failed partway; `.trace` holds the history so far."""
+    """An optimizer run failed partway. The message names the iteration, the
+    theta involved and the cause; `.trace` holds the history so far."""
 
     def __init__(self, message: str, trace: FitTrace):
         super().__init__(message)
@@ -229,25 +223,29 @@ def nll_loss(theta: HyperParams, kernels: MultiKernel, X: np.ndarray, y: np.ndar
     return float((y @ alpha + log_det(factor) + n * LOG_2PI) / (2.0 * n))
 
 
-def _gradient_core(
-    theta: HyperParams,
-    kernels: MultiKernel,
-    X: np.ndarray,
-    y: np.ndarray,
-    divisors: np.ndarray,
-) -> np.ndarray:
-    """Gradient slots <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) with a = K^-1 y:
-    one Cholesky, one inverse and one `contract` (see
-    covariance_and_contraction), whose `einsum` products keep the whole pass
-    on scipy's BLAS pool (see the linalg docstring).
+def _gradient_core(theta: HyperParams, kernels: MultiKernel, X: np.ndarray, Y: np.ndarray,
+                   divisors: np.ndarray) -> np.ndarray:
+    """Row j: the gradient slots <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) with
+    a = K^-1 Y[:, j], for each column of the m x r block Y.
+
+    One covariance build, one Cholesky, one inverse and one solve serve the
+    whole block; each column then costs one `contract` (see
+    covariance_and_contraction), whose `einsum` products keep the pass on
+    scipy's BLAS pool (see the linalg docstring). The last column subtracts
+    a a^T from the inverse in place, so a one-column block makes no copy of
+    it: full_gradient runs at n in the thousands.
     """
     K, contract = covariance_and_contraction(kernels, theta, X)
     factor = cholesky(K)
     del K  # full_gradient runs this at n in the thousands: free K before the inverse
-    alpha = solve(factor, y)
-    W = inverse(factor)
-    W -= np.outer(alpha, alpha)
-    return contract(W) / (2.0 * divisors)
+    alpha = solve(factor, Y)
+    inv = inverse(factor)
+    out = np.empty((Y.shape[1], divisors.shape[0]))
+    for j, a in enumerate(alpha.T):
+        W = inv if j == len(out) - 1 else inv.copy()
+        W -= a[:, None] * a
+        out[j] = contract(W)
+    return out / (2.0 * divisors)
 
 
 def full_gradient(
@@ -256,7 +254,8 @@ def full_gradient(
     """Gradient of nll_loss over the full dataset, one entry per parameter
     slot (signal variances, noise, then lengthscales when present)."""
     y = np.asarray(y, dtype=np.float64)
-    return _gradient_core(theta, kernels, X, y, ScalingPolicy().divisors(y.shape[0], theta))
+    divisors = ScalingPolicy().divisors(y.shape[0], theta)
+    return _gradient_core(theta, kernels, X, y[:, None], divisors)[0]
 
 
 def stochastic_gradient(
@@ -274,20 +273,27 @@ def stochastic_gradient(
     if idx.min() < 0 or idx.max() >= y.shape[0]:
         raise ValueError("batch indices out of range")
     X2 = X[idx] if X.ndim == 2 else X[idx, None]
-    return _gradient_core(theta, kernels, X2, y[idx], scaling.divisors(idx.shape[0], theta))
+    divisors = scaling.divisors(idx.shape[0], theta)
+    return _gradient_core(theta, kernels, X2, y[idx][:, None], divisors)[0]
+
+
+def _batch_stream(config: SGDConfig, n: int, iterations: int,
+                  index: SpatialIndex | None) -> Iterator[np.ndarray]:
+    """Batch rows of iterations 1..iterations, SCHEDULE_CHUNK per `draw_batches` call."""
+    for start in range(1, iterations + 1, SCHEDULE_CHUNK):
+        stop = min(start + SCHEDULE_CHUNK, iterations + 1)
+        # a generator, so that one stream at a time is alive, not a chunk of them
+        rngs = (iteration_rng(config.seed, k) for k in range(start, stop))
+        yield from draw_batches(config.scheme, n, config.m, rngs, index)
 
 
 class _FitLoop:
     """The loop both optimizers run: batch drawing, clipping, the
     optimizer's update, clamping, trace recording, and failure wrapping.
 
-    The batch of iteration k is the one `draw_minibatch` draws from
-    `iteration_rng(seed, k)`, and its gradient is `stochastic_gradient`'s
-    at the same theta, bit for bit. The loop takes them by a shorter road:
-    nearby batches come SCHEDULE_CHUNK iterations at a time from one
-    `nearby_batches` call on the centers of those iterations' streams, the
-    divisors are computed once, and `_gradient_core` gets the batch rows
-    directly.
+    The batch of iteration k is the one `draw_batches` draws from
+    `iteration_rng(seed, k)`, SCHEDULE_CHUNK iterations per call, and its
+    gradient is `stochastic_gradient`'s at the same theta, bit for bit.
     """
 
     def __init__(
@@ -299,16 +305,14 @@ class _FitLoop:
     ):
         self.X = dataset.X
         self.y = dataset.y
-        self.n = dataset.n
         self.kernels = kernels
         self.config = config
         self.theta0 = theta0
-        self.iterations = config.resolve_iterations(self.n)
+        self.iterations = config.resolve_iterations(dataset.n)
         self.n_kernels = kernels.n_kernels
         self.has_lengthscales = theta0.lengthscales is not None
-        self.index: SpatialIndex | None = (
-            build_index(self.X) if config.scheme == SamplingScheme.NEARBY else None
-        )
+        index = build_index(self.X) if config.scheme == SamplingScheme.NEARBY else None
+        self.batches = _batch_stream(config, dataset.n, self.iterations, index)
         rows, params = self.iterations + 1, theta0.n_params
         self.theta = np.empty((rows, params))
         self.gradient = np.full((rows, params), np.nan)
@@ -322,8 +326,6 @@ class _FitLoop:
         self.clip_events = 0
         # Fails fast on a batch size the scaling cannot take, before iterating.
         self.divisors = config.scaling.divisors(config.m, theta0)
-        self.schedule = np.empty((0, config.m), dtype=np.intp)
-        self.schedule_start = 1
 
     def run(self, step: Callable[[int, np.ndarray], tuple], floor: float | None) -> FitTrace:
         """Record theta0 as row 0; then for each k take (delta, step size,
@@ -331,8 +333,8 @@ class _FitLoop:
         theta - delta within bounds (see enforce_bounds) and record row k."""
         theta_vec = self.theta0.to_vector()
         self.record(0, theta_vec, 0.0, None)
-        for k in range(1, self.iterations + 1):
-            delta, step_size, grad = step(k, self.batch_gradient(k, theta_vec))
+        for k, idx in enumerate(self.batches, start=1):
+            delta, step_size, grad = step(k, self.batch_gradient(k, idx, theta_vec))
             theta_vec = self.enforce_bounds(k, theta_vec - delta, floor)
             self.record(k, theta_vec, step_size, grad)
         return self.trace()
@@ -371,28 +373,14 @@ class _FitLoop:
     def theta_of(self, vec: np.ndarray) -> HyperParams:
         return HyperParams.from_vector(vec, self.n_kernels, self.has_lengthscales)
 
-    def batch_indices(self, k: int) -> np.ndarray:
-        """Row indices of iteration k's batch."""
-        seed, m = self.config.seed, self.config.m
-        if self.index is None:
-            return uniform_indices(self.n, m, iteration_rng(seed, k))
-        row = k - self.schedule_start
-        if row >= self.schedule.shape[0]:
-            stop = min(k + SCHEDULE_CHUNK, self.iterations + 1)
-            centers = [iteration_rng(seed, j).integers(self.n) for j in range(k, stop)]
-            self.schedule = nearby_batches(self.index, centers, m)
-            self.schedule_start, row = k, 0
-        return self.schedule[row]
-
-    def batch_gradient(self, k: int, theta_vec: np.ndarray) -> np.ndarray:
-        idx = self.batch_indices(k)
+    def batch_gradient(self, k: int, idx: np.ndarray, theta_vec: np.ndarray) -> np.ndarray:
         try:
-            grad = _gradient_core(
-                self.theta_of(theta_vec), self.kernels, self.X[idx], self.y[idx], self.divisors
-            )
+            grad = _gradient_core(self.theta_of(theta_vec), self.kernels, self.X[idx],
+                                  self.y[idx][:, None], self.divisors)[0]
         except NotPositiveDefiniteError as exc:
             raise FitDivergedError(
-                f"covariance not positive definite at iteration {k}: {exc}", self.trace()
+                f"covariance not positive definite at iteration {k}, theta "
+                f"{theta_vec.tolist()}: {exc}", self.trace()
             ) from exc
         if self.config.clip is not None:
             norm = float(np.linalg.norm(grad))
@@ -410,7 +398,8 @@ class _FitLoop:
             if np.any(theta_vec <= 0):
                 bad = int(np.argmax(theta_vec <= 0))
                 raise FitDivergedError(
-                    f"parameter slot {bad} left (0, inf) at iteration {k}; "
+                    f"parameter slot {bad} left (0, inf) at iteration {k}, theta "
+                    f"{theta_vec.tolist()}; "
                     "enable clamping or reduce the step size",
                     self.trace(),
                 )

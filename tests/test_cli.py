@@ -196,6 +196,14 @@ def test_log_scaling_needs_three_points_per_batch(tmp_path, capsys):
     ("experiment", ["study=grad-convergence", "reps=0"], "reps must be a positive integer, got 0"),
     ("experiment", ["study=lengthscale-monotone", "surrogate_m=0"],
      "surrogate_m must be a positive integer, got 0"),
+    ("fit", ["data={wide}", "m=4", "epochs=1"],
+     "data has 2 input columns but an rbf kernel has 1 lengthscales"),
+    ("predict", ["train={wide}", "test={wide}"],
+     "train has 2 input columns but an rbf kernel has 1 lengthscales"),
+    ("predict", ["train={csv}", "test={wide}"],
+     "test has 2 input columns but an rbf kernel has 1 lengthscales"),
+    ("predict", ["train={csv}", "test={wide}", "kernel_family=matern", "matern_order=1.5",
+                 "lengthscales=[1.0]"], "test has 2 input columns but train has 1"),
 ], ids=["simulate-n-abc", "simulate-n-0", "diagnose-n-0", "experiment-n-0",
         "simulate-input-dim", "diagnose-input-dim", "experiment-input-dim",
         "simulate-n-fraction", "simulate-n-bool", "simulate-input-sd-text", "fit-m-fraction",
@@ -205,15 +213,33 @@ def test_log_scaling_needs_three_points_per_batch(tmp_path, capsys):
         "diagnose-index-range-two-indices", "diagnose-m-grid-repeat", "curvature-m-grid-repeat",
         "vary-m-m-grid-repeat", "grad-convergence-m-grid-repeat", "vary-m-reps-0",
         "grad-convergence-reps-0",
-        "monotone-surrogate-m-0"])
+        "monotone-surrogate-m-0", "fit-data-columns", "predict-train-columns",
+        "predict-test-columns", "predict-matern-test-columns"])
 def test_bad_n_or_input_dim_exits_two(tmp_path, capsys, command, settings, message):
     csv = simulate_small(tmp_path) / "dataset.csv" if command in ("fit", "predict") else None
-    args = [command, "--out", tmp_path / "bad", "--seed", 1]
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x1,x2,y\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n")
+    args = [command, "--out", tmp_path / "bad"] + ["--seed", 1] * (command != "predict")
     for kv in settings:
-        args += ["--set", kv.format(csv=csv)]
+        args += ["--set", kv.format(csv=csv, wide=wide)]
     assert run(args) == 2
     assert message in capsys.readouterr().err
     assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag, target, message", [
+    ("--out", "file", "--out names a file, not a directory: "),
+    ("--out", "file/sub", "--out names a file, not a directory: "),
+    ("--config", "dir", "--config names a directory, not a file: "),
+], ids=["out-file", "out-under-file", "config-directory"])
+def test_bad_out_or_config_path_exits_two(tmp_path, capsys, flag, target, message):
+    (tmp_path / "file").write_text("x\n")
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / target
+    out = [] if flag == "--out" else ["--out", tmp_path / "out"]
+    assert run(["simulate", flag, path, *out, "--seed", 1, "--set", "n=8"]) == 2
+    assert f"error: {message}{path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("content, message", [

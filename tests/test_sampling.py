@@ -11,9 +11,9 @@ from gpsgd.sampling import (
     Minibatch,
     SamplingScheme,
     build_index,
+    draw_batches,
     draw_minibatch,
     nearby_batches,
-    uniform_indices,
 )
 from gpsgd.seeds import component_rng, iteration_rng
 
@@ -52,7 +52,9 @@ def test_uniform_reproducible():
     a = uniform_batch(10, 3, component_rng(123, "batch"))
     b = uniform_batch(10, 3, component_rng(123, "batch"))
     assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.indices, uniform_indices(10, 3, component_rng(123, "batch")))
+    # the draw rule: m distinct indices from one Generator.choice call
+    expected = component_rng(123, "batch").choice(10, size=3, replace=False)
+    assert np.array_equal(a.indices, expected)
 
 
 def test_uniform_rejects_oversize():
@@ -287,6 +289,21 @@ def test_draw_minibatch_matches_a_nearby_batches_row(dim):
                 assert np.array_equal(batch, expected.indices)
                 others = [i for i in brute_force_knn(X, X[center], m) if i != center][:m - 1]
                 assert batch.tolist() == [center, *others]
+
+
+@pytest.mark.parametrize("scheme", list(SamplingScheme))
+def test_draw_batches_rows_equal_one_row_draws(scheme):
+    X = RNG.normal(size=(40, 2))
+    index = build_index(X)
+    for m in (1, 7, 40):
+        batches = draw_batches(scheme, 40, m, [iteration_rng(5, k) for k in range(12)], index)
+        assert batches.shape == (12, m) and batches.dtype == np.intp
+        for k, row in enumerate(batches):
+            one = draw_minibatch(scheme, 40, m, iteration_rng(5, k), index)
+            assert np.array_equal(row, one.indices)
+            assert np.array_equal(row, draw_batches(scheme, 40, m, [iteration_rng(5, k)],
+                                                    index)[0])
+    assert draw_batches(scheme, 40, 3, [], index).shape == (0, 3)
 
 
 def test_nearby_batches_center_behind_its_duplicates():

@@ -1,6 +1,7 @@
 """Loss, gradient, and optimizer-loop tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ def test_gradients_match_per_slot_oracle(name, kernels, theta, dim, scaling):
     fg = full_gradient(theta, kernels, X, y)
     assert np.allclose(fg, oracle_gradient(theta, kernels, X, y, np.full(theta.n_params, n)),
                        rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("name,kernels,theta,dim", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_block_gradient_columns_match_stochastic_gradient(name, kernels, theta, dim):
+    # the columns of one block share one factorization and one inverse: each
+    # matches the one-column gradient to rounding, and a one-column block
+    # is that gradient bit for bit
+    rng = np.random.default_rng(37)
+    m, r = 32, 9
+    X = rng.normal(0.0, 2.0, size=(m, dim))
+    Y = rng.normal(size=(m, r))
+    policy = ScalingPolicy(ScalingMode.LOG_SCALED)
+    divisors = policy.divisors(m, theta)
+    batch = Minibatch(np.arange(m))
+    block = training._gradient_core(theta, kernels, X, Y, divisors)
+    assert block.shape == (r, theta.n_params)
+    for j in range(r):
+        one = stochastic_gradient(theta, kernels, batch, X, Y[:, j], policy)
+        assert np.allclose(block[j], one, rtol=1e-12, atol=0.0)
+        column = training._gradient_core(theta, kernels, X, Y[:, j:j + 1], divisors)
+        assert np.array_equal(column[0], one)
 
 
 def test_stochastic_gradient_full_batch_reduces_to_full_gradient():
@@ -278,10 +300,16 @@ def test_sgd_deterministic_given_seed():
 
 def test_sgd_diverges_without_clamp():
     # a huge step drives a variance negative; the error names the iteration
+    # and the stepped iterate
     ds = _dataset(n=32, seed=15)
     config = SGDConfig(m=32, iterations=3, alpha1=1e4, seed=16)
-    with pytest.raises(FitDivergedError, match="iteration 1"):
-        sgd_fit(ds, MK, config, HyperParams((8.0,), 4.0))
+    theta0 = HyperParams((8.0,), 4.0)
+    batch = draw_minibatch(config.scheme, 32, 32, iteration_rng(16, 1))
+    stepped = theta0.to_vector() - 1e4 * stochastic_gradient(theta0, MK, batch, ds.X, ds.y)
+    assert np.any(stepped <= 0)
+    with pytest.raises(FitDivergedError, match=re.escape(
+            f"left (0, inf) at iteration 1, theta {stepped.tolist()}; enable clamping")):
+        sgd_fit(ds, MK, config, theta0)
 
 
 def test_diverged_fit_trace_holds_rows_so_far():
@@ -290,7 +318,8 @@ def test_diverged_fit_trace_holds_rows_so_far():
     ds = _dataset(n=32, seed=15)
     config = SGDConfig(m=8, iterations=3, alpha1=1.0, seed=16)
     with np.errstate(over="ignore"), pytest.raises(
-            FitDivergedError, match="not positive definite at iteration 1") as info:
+            FitDivergedError,
+            match=r"not positive definite at iteration 1, theta \[1e\+308, 1e\+308\]: ") as info:
         sgd_fit(ds, MK, config, HyperParams((1e308,), 1e308))
     trace = info.value.trace
     assert trace.iterations == 0 and len(trace.records) == 1
@@ -301,9 +330,15 @@ def test_diverged_fit_trace_holds_completed_iterations():
     ds = _dataset(n=32, seed=15)
     config = SGDConfig(m=16, iterations=40, alpha1=100.0, seed=16)
     theta0 = HyperParams((8.0,), 4.0)
-    with pytest.raises(FitDivergedError, match="iteration 2") as info:
+    with pytest.raises(FitDivergedError, match="iteration 2, theta ") as info:
         sgd_fit(ds, MK, config, theta0)
     trace = info.value.trace
+    # the message's theta is the step from the last recorded iterate
+    theta1 = HyperParams.from_vector(trace.theta[1], 1, False)
+    batch = draw_minibatch(config.scheme, 32, 16, iteration_rng(16, 2))
+    grad = stochastic_gradient(theta1, MK, batch, ds.X, ds.y)
+    stepped = trace.theta[1] - (100.0 / 2) * grad
+    assert f"theta {stepped.tolist()}; " in str(info.value)
     # iterations 0 and 1 completed; the iterate of iteration 2 left (0, inf)
     assert trace.iterations == 1 and len(trace.records) == 2
     full = sgd_fit(ds, MK, SGDConfig(m=16, iterations=1, alpha1=100.0, seed=16), theta0)
@@ -456,7 +491,10 @@ def _replay_mismatches(trace, dataset, kernels, config) -> int:
     return mismatches
 
 
-def test_sgd_uniform_fit_replays_bit_for_bit():
+@pytest.mark.parametrize("chunk", [7, training.SCHEDULE_CHUNK])
+def test_sgd_uniform_fit_replays_bit_for_bit(monkeypatch, chunk):
+    # batches drawn ahead in chunks of 7 cross several chunk boundaries
+    monkeypatch.setattr(training, "SCHEDULE_CHUNK", chunk)
     ds = _dataset(n=200, seed=31)
     config = SGDConfig(m=24, iterations=60, alpha1=3.0, seed=32,
                        scaling=ScalingPolicy(ScalingMode.LOG_SCALED), clamp=(1e-3, 1e3))
