@@ -55,7 +55,7 @@ from .kernels import (
     kernel_matrix,
     param_names,
 )
-from .linalg import sym_eigenvalues
+from .linalg import EIG_SIZE_CAP, sym_eigenvalues
 from .prediction import PredictStrategy, predict, predict_nn, rmse
 from .sampling import SamplingScheme, build_index
 from .seeds import derived_seed
@@ -395,6 +395,9 @@ def _check_rules(command: str, c: dict) -> None:
         if min(hi, c["n"]) - lo + 1 < MIN_FIT_EIGENVALUES:
             raise ConfigError(f"fit_index_range {[lo, hi]} holds fewer than "
                               f"{MIN_FIT_EIGENVALUES} of the eigenvalue indices 1..{c['n']}")
+    if command == "diagnose" and c["n"] > EIG_SIZE_CAP:
+        raise ConfigError(f"n is {c['n']}, but the eigendecay fit takes at most "
+                          f"{EIG_SIZE_CAP} points")
     if command == "diagnose" or study == "curvature":
         _check_batch_sizes("m_grid", c["m_grid"], c["n"])
     elif study == "param-convergence":
@@ -605,6 +608,8 @@ def cmd_predict(c: dict, out: Path) -> dict:
     if result.cg_iterations is not None:
         extra["cg_iterations_y"] = result.cg_iterations[0]
         extra["cg_iterations_max_test_column"] = max(result.cg_iterations[1:], default=0)
+        extra["cg_preconditioner_rank"] = result.cg_preconditioner_rank
+        extra["cg_residual_max"] = repr(result.cg_residual_max)
     return extra
 
 

@@ -1,5 +1,6 @@
 """Dense symmetric linear algebra: Cholesky, inverse, solves,
-log-determinant, eigenvalues, and a conjugate-gradient solver.
+log-determinant, eigenvalues, and a preconditioned block conjugate-gradient
+solver.
 
 Everything here operates on plain float64 numpy arrays. Factorizations are
 deterministic; no randomized methods.
@@ -21,6 +22,19 @@ arithmetic at the m=16 of a small-batch iteration (93 against 27 us for a
 factor, a solve and an inverse). A solve with the factor is two dtrtrs
 passes, L then L^T, not dpotrs: dpotrs gives the same x only up to the
 last bits, while the dtrtrs pair matches solve_triangular bit for bit.
+
+`cg_solve` takes a vector or an n x r block, whose columns run as
+independent recurrences with one operator product per iteration and a
+stopping test each, and an optional preconditioner. For a GP covariance
+K = S + noise I, `pivoted_cholesky` gives a rank-r factor L L^T ~ S
+(greedy, deterministic; rank at most PRECONDITIONER_MAX_RANK and n, and no
+more once the largest remaining diagonal of S is <= PRECONDITIONER_STOP *
+noise), and `woodbury_preconditioner` applies (noise I + L L^T)^-1 through
+the Woodbury identity with one r x r factor (Harbrecht, Peters & Schneider
+2012; Gardner et al. 2018). Its products are scipy's dgemm and dsyrk, for
+the pool reason above: at n=6000 and r=300, the K product and the
+preconditioner of a two-column block took 14.6 ms, against 32.7 ms with the
+Woodbury products on numpy's `@` (2 cores, OpenBLAS 0.3.30).
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 
 _potrf, _potri, _trtrs = scipy.linalg.get_lapack_funcs(("potrf", "potri", "trtrs"),
                                                        dtype=np.float64)
@@ -51,6 +66,10 @@ class CGBreakdownError(Exception):
 
 
 EIG_SIZE_CAP = 4096
+# The rank rule of pivoted_cholesky: at most this many columns, and no more
+# once the largest remaining signal diagonal is at most STOP * noise.
+PRECONDITIONER_MAX_RANK = 300
+PRECONDITIONER_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,10 +85,13 @@ class CholeskyFactor:
 
 @dataclass(frozen=True)
 class CGResult:
+    """A CG solve: scalars for a vector right-hand side, one entry per
+    column for a block."""
+
     x: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
+    residual: float | np.ndarray
 
 
 def cholesky(K: np.ndarray) -> CholeskyFactor:
@@ -180,46 +202,148 @@ def cg_solve(
     b: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 1000,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
-    """Conjugate gradient for a symmetric PD operator.
+    """Conjugate gradient for a symmetric PD operator, optionally
+    preconditioned: z = precondition(r) stands in for P^-1 r.
 
-    Stops when ||A x - b||_2 / ||b||_2 <= tol or after `max_iter` iterations;
-    the result reports which happened. Raises CGBreakdownError on a direction
-    of non-positive curvature.
+    `b` is a vector or an n x r block. The columns of a block are independent
+    recurrences that share one `matvec` call and one `precondition` call per
+    iteration; both callables get an array shaped like `b`, for a block the
+    Fortran-ordered n x c block of the columns still running. Each column
+    stops when its relative residual ||b - A x||_2 / ||b||_2 (of the
+    recurrence, not the preconditioned norm) is <= tol, or after `max_iter`
+    iterations. For a vector the result holds scalars; for a block, x is
+    n x r and iterations, converged and residual have one entry per column.
+    Raises CGBreakdownError on a direction of non-positive curvature, or on
+    r^T z <= 0, which means the preconditioner is not positive definite.
+
+    Every inner product is one ddot over a contiguous column, so without a
+    preconditioner (z = r) a vector takes exactly the arithmetic of plain CG.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=np.float64)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CGResult(x=np.zeros_like(b), iterations=0, converged=True, residual=0.0)
+    vector = b.ndim == 1
+    B = b.reshape(b.shape[0], -1)
+    if vector:
+        on_column = lambda f: (lambda V: np.asarray(f(V[:, 0]))[:, None])
+        matvec = on_column(matvec)
+        if precondition is not None:
+            precondition = on_column(precondition)
+    n, r = B.shape
+    b_norm = np.sqrt(_column_dots(B, B))
+    X = np.zeros((n, r), order="F")
+    iterations = np.zeros(r, dtype=int)
+    converged = b_norm == 0.0          # x = 0 solves a zero column
+    residual = np.where(converged, 0.0, 1.0)
+    active = np.flatnonzero(~converged)
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
+    def check_positive(what: str, values: np.ndarray, when: str) -> None:
+        if (values <= 0.0).any():
+            j = int(np.argmax(values <= 0.0))
+            column = "" if vector else f" in column {active[j]}"
+            raise CGBreakdownError(f"non-positive {what} = {values[j]:g} {when}{column}")
 
-    iterations = 0
-    residual = 1.0
-    for _ in range(max_iter):
-        Ap = matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise CGBreakdownError(
-                f"non-positive curvature p^T A p = {pAp:g} at iteration {iterations + 1}"
-            )
-        alpha = rr / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        iterations += 1
-        residual = float(np.linalg.norm(r)) / b_norm
-        if residual <= tol:
-            return CGResult(x=x, iterations=iterations, converged=True, residual=residual)
-        rr_next = float(r @ r)
-        p = r + (rr_next / rr) * p
-        rr = rr_next
+    R = np.asfortranarray(B[:, active])
+    Z = R if precondition is None else precondition(R)
+    rz = _column_dots(R, Z)
+    check_positive("r^T z", rz, "before iteration 1")
+    P = Z
+    Xa = np.zeros_like(R)
+    k = 0
+    while active.size and k < max_iter:
+        k += 1
+        AP = matvec(P)
+        pAp = _column_dots(P, AP)
+        check_positive("curvature p^T A p", pAp, f"at iteration {k}")
+        alpha = rz / pAp
+        Xa = Xa + alpha * P
+        R = R - alpha * AP
+        rr = _column_dots(R, R)
+        iterations[active] = k
+        residual[active] = np.sqrt(rr) / b_norm[active]
+        done = residual[active] <= tol
+        if done.any():
+            X[:, active[done]] = Xa[:, done]
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            R, P, Xa = (np.asfortranarray(M[:, keep]) for M in (R, P, Xa))
+            rz, rr = rz[keep], rr[keep]
+            if not active.size:
+                break
+        Z = R if precondition is None else precondition(R)
+        rz_next = rr if precondition is None else _column_dots(R, Z)
+        check_positive("r^T z", rz_next, f"after iteration {k}")
+        P = Z + (rz_next / rz) * P
+        rz = rz_next
+    X[:, active] = Xa
 
-    return CGResult(x=x, iterations=iterations, converged=False, residual=residual)
+    if vector:
+        return CGResult(x=X[:, 0], iterations=int(iterations[0]),
+                        converged=bool(converged[0]), residual=float(residual[0]))
+    return CGResult(x=X, iterations=iterations, converged=converged, residual=residual)
+
+
+def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The inner product of each column pair, one ddot per column."""
+    return np.array([A[:, j] @ B[:, j] for j in range(A.shape[1])])
+
+
+def pivoted_cholesky(K: np.ndarray, noise: float) -> np.ndarray:
+    """Low-rank factor L (n x r, Fortran order) with L L^T ~ K - noise I,
+    the signal part of a marginal covariance K (Harbrecht, Peters &
+    Schneider 2012).
+
+    Each step pivots on the largest remaining diagonal of the signal part
+    (np.argmax, so a tie goes to the first index) and adds one column from
+    row p of the C-ordered symmetric K, which is its column p. The rank is
+    at most PRECONDITIONER_MAX_RANK and n; the factor stops early once the
+    largest remaining diagonal is <= PRECONDITIONER_STOP * noise.
+    Deterministic: no random probes.
+    """
+    n = K.shape[0]
+    cap = min(PRECONDITIONER_MAX_RANK, n)
+    L = np.zeros((n, cap), order="F")
+    remaining = np.diagonal(K) - noise
+    stop = PRECONDITIONER_STOP * noise
+    for k in range(cap):
+        p = int(np.argmax(remaining))
+        pivot = remaining[p]
+        if pivot <= stop:
+            return L[:, :k]
+        column = K[p].copy()
+        column[p] -= noise
+        if k:
+            column = dgemv(-1.0, L[:, :k], L[p, :k], beta=1.0, y=column, overwrite_y=1)
+        column /= np.sqrt(pivot)
+        L[:, k] = column
+        remaining -= column * column
+        remaining[p] = 0.0
+    return L
+
+
+def woodbury_preconditioner(L: np.ndarray, noise: float) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (noise I + L L^T)^-1 v through Woodbury:
+
+        (v - L (noise I + L^T L)^-1 L^T v) / noise
+
+    The r x r matrix is formed (dsyrk) and factored once; each application
+    is two dgemm and one solve with that factor, for a vector or a block.
+    """
+    if L.shape[1] == 0:
+        return lambda V: V / noise
+    inner = dsyrk(1.0, L, trans=1, lower=1)
+    inner.flat[::inner.shape[0] + 1] += noise
+    factor = cholesky(inner)
+
+    def apply(V: np.ndarray) -> np.ndarray:
+        block = V.reshape(V.shape[0], -1)
+        S = solve(factor, dgemm(1.0, L, block, trans_a=1))
+        return dgemm(-1.0 / noise, L, S, beta=1.0 / noise, c=block).reshape(V.shape)
+
+    return apply
 
 
 def two_sided_solve(factor: CholeskyFactor, D: np.ndarray) -> np.ndarray:

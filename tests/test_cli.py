@@ -463,6 +463,21 @@ def test_predict_cg_summary_reports_iterations(tmp_path):
     assert "cg_iterations" not in (tmp_path / "exact" / "summary.txt").read_text()
 
 
+def test_predict_cg_summary_reports_preconditioner(tmp_path):
+    train = simulate_small(tmp_path, "train", n=80, seed=1)
+    test = simulate_small(tmp_path, "test", n=20, seed=2)
+    assert run(["predict", "--out", tmp_path / "cg", "--set", "strategy=cg",
+                "--set", f"train={train / 'dataset.csv'}",
+                "--set", f"test={test / 'dataset.csv'}"]) == 0
+    summary = dict(line.split(": ", 1)
+                   for line in (tmp_path / "cg" / "summary.txt").read_text().splitlines())
+    train_ds, test_ds = load_csv(train / "dataset.csv"), load_csv(test / "dataset.csv")
+    result = predict(HyperParams((1.0,), 1.0), MultiKernel.single(KernelSpec.rbf(0.5)),
+                     train_ds.X, train_ds.y, test_ds.X, strategy=PredictStrategy.CG)
+    assert int(summary["cg_preconditioner_rank"]) == result.cg_preconditioner_rank > 0
+    assert float(summary["cg_residual_max"]) == result.cg_residual_max <= 1e-6
+
+
 def test_predict_reports_rmse(tmp_path, capsys):
     train = simulate_small(tmp_path, "train", n=80, seed=1)
     test = simulate_small(tmp_path, "test", n=20, seed=2)
@@ -531,6 +546,13 @@ def test_diagnose_outputs(tmp_path):
     assert run(["diagnose", "--out", tmp_path / "past", "--seed", 4, "--set", "n=128",
                 "--set", "m_grid=[8]", "--set", "replicates=1",
                 "--set", "fit_index_range=[2,1000]"]) == 0
+
+
+def test_diagnose_n_above_eigenvalue_cap_exits_two_before_work(tmp_path, capsys):
+    out = tmp_path / "big"
+    assert run(["diagnose", "--out", out, "--seed", 1, "--set", "n=5000"]) == 2
+    assert "n is 5000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_requires_seed_and_known_study(tmp_path):

@@ -17,9 +17,11 @@ from gpsgd.linalg import (
     forward_solve,
     inverse,
     log_det,
+    pivoted_cholesky,
     solve,
     sym_eigenvalues,
     two_sided_solve,
+    woodbury_preconditioner,
 )
 
 RNG = np.random.default_rng(77)
@@ -220,6 +222,42 @@ def test_cg_breakdown_on_indefinite():
     A = np.diag([1.0, -1.0])
     with pytest.raises(CGBreakdownError):
         cg_solve(lambda v: A @ v, np.array([0.0, 1.0]), tol=1e-10)
+
+
+def test_cg_block_columns_match_vector_solves():
+    A = random_spd(48)
+    B = RNG.normal(size=(48, 4))
+    B[:, 2] = 0.0   # solved by x = 0 without an iteration
+    tol = 1e-10
+    block = cg_solve(lambda V: A @ V, B, tol=tol)
+    assert block.x.shape == B.shape and block.converged.all()
+    assert block.iterations.shape == (4,) and block.iterations[2] == 0
+    for j in range(4):
+        single = cg_solve(lambda v: A @ v, B[:, j], tol=tol)
+        assert block.iterations[j] == single.iterations
+        assert np.linalg.norm(block.x[:, j] - single.x) <= tol * np.linalg.norm(single.x)
+
+
+def test_pivoted_cholesky_rank_rule_and_woodbury_inverse():
+    X = np.linspace(0.0, 3.0, 40)[:, None]
+    noise = 0.1
+    K = 4.0 * kernel_matrix(KernelSpec.rbf(0.5), X) + noise * np.eye(40)
+    L = pivoted_cholesky(K, noise)
+    assert L.flags.f_contiguous and 0 < L.shape[1] < 40
+    # stopped because the largest remaining signal diagonal fell to the bound
+    remaining = np.diag(K) - noise - np.sum(L * L, axis=1)
+    assert remaining.max() <= linalg.PRECONDITIONER_STOP * noise
+    assert np.array_equal(pivoted_cholesky(K, noise), L)
+    V = RNG.normal(size=(40, 3))
+    expected = np.linalg.solve(noise * np.eye(40) + L @ L.T, V)
+    apply = woodbury_preconditioner(L, noise)
+    assert np.allclose(apply(V), expected, rtol=1e-9, atol=1e-9)
+    assert np.allclose(apply(V[:, 0]), expected[:, 0], rtol=1e-9, atol=1e-9)
+
+
+def test_preconditioned_cg_breakdown_on_indefinite_preconditioner():
+    with pytest.raises(CGBreakdownError, match="r\\^T z"):
+        cg_solve(lambda v: v, np.ones(3), precondition=lambda v: -v)
 
 
 def test_cg_max_iter_reported():

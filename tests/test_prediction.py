@@ -20,7 +20,7 @@ from gpsgd import (
     train_test_split,
 )
 from gpsgd.kernels import cross_kernel_matrix, marginal_covariance
-from gpsgd.linalg import cholesky, solve
+from gpsgd.linalg import cg_solve, cholesky, solve
 from gpsgd.prediction import CGConvergenceError
 from gpsgd.seeds import component_rng
 
@@ -81,12 +81,29 @@ def test_exact_and_cg_agree():
     assert cg.cg_iterations is not None and len(cg.cg_iterations) == 9
 
 
+def test_preconditioned_cg_two_kernel_matches_exact_in_fewer_iterations():
+    theta = HyperParams((3.0, 1.0), 0.1)
+    kernels = MultiKernel((KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0)))
+    ds = simulate_gp(kernels, theta, 500, Gaussian(5.0), 1, seed=15)
+    X_test = component_rng(16, "pcg-test").normal(0, 5.0, size=(6, 1))
+    tol = 1e-8
+    exact = predict(theta, kernels, ds.X, ds.y, X_test, strategy=PredictStrategy.EXACT)
+    cg = predict(theta, kernels, ds.X, ds.y, X_test, strategy=PredictStrategy.CG, cg_tol=tol)
+    assert np.max(np.abs(exact.mean - cg.mean)) < 10 * tol * max(1, np.abs(exact.mean).max())
+    assert np.max(np.abs(exact.variance - cg.variance)) < 10 * tol * 4.0
+    assert len(cg.cg_iterations) == 7 and 0 < cg.cg_preconditioner_rank <= 300
+    assert cg.cg_residual_max <= tol
+    K = marginal_covariance(kernels, theta, ds.X)
+    plain = cg_solve(lambda v: K @ v, ds.y, tol=tol)
+    assert plain.converged and cg.cg_iterations[0] < plain.iterations
+
+
 def test_cg_non_convergence_reports_residual():
     theta = HyperParams((4.0,), 1e-8)
     ds = simulate_gp(MK, theta, 200, Gaussian(0.5), 1, seed=8)
     with pytest.raises(CGConvergenceError, match="residual"):
         predict(theta, MK, ds.X, ds.y, ds.X[:2], strategy=PredictStrategy.CG,
-                cg_tol=1e-14, cg_max_iter=3)
+                cg_tol=1e-14, cg_max_iter=1)
 
 
 def test_default_strategy_picks_exact_below_threshold():
