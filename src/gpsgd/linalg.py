@@ -246,7 +246,7 @@ def cg_solve(
             raise CGBreakdownError(f"non-positive {what} = {values[j]:g} {when}{column}")
 
     R = np.asfortranarray(B[:, active])
-    Z = R if precondition is None else precondition(R)
+    Z = R if precondition is None or not active.size else precondition(R)
     rz = _column_dots(R, Z)
     check_positive("r^T z", rz, "before iteration 1")
     P = Z

@@ -10,10 +10,12 @@ conditions each test point on its n_neighbors closest training points. The
 exact strategy factors K = L L^T and makes one triangular pass
 W = L^-1 [y | k*], from which the mean is W_k^T w_y and the variance
 k(x*, x*) - colsum(W_k^2). The CG strategy solves K [alpha | V] = [y | k*]
-as one block (a stopping test per column), preconditioned by
-noise I + L L^T with L a pivoted Cholesky factor of the signal part
-K - noise I, built once (see linalg for the rank rule); the mean is
-k*^T alpha and the variance k(x*, x*) - colsum(k* o V).
+in blocks of at most CG_BLOCK_WIDTH columns, y in the first (a stopping
+test per column), preconditioned by noise I + L L^T with L a pivoted
+Cholesky factor of the signal part K - noise I, built once and shared by
+every block (see linalg for the rank rule); the mean is k*^T alpha and the
+variance k(x*, x*) - colsum(k* o V), taken block by block so that no
+n x t solution is held.
 
 Products with the n x n covariance and the n x t cross-covariance, and the
 Woodbury products of the preconditioner, go through scipy's BLAS, like the
@@ -27,13 +29,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dgemv, dsymv
+from scipy.linalg.blas import dgemv, dsymv
 
 from .kernels import HyperParams, MultiKernel, cross_kernel_matrix, effective_kernels, marginal_covariance
 from .linalg import cg_solve, cholesky, forward_solve, pivoted_cholesky, woodbury_preconditioner
 from .sampling import SpatialIndex
 
 EXACT_SIZE_LIMIT = 10_000
+# Columns per CG block: the solver's work arrays are n x CG_BLOCK_WIDTH
+# whatever the number of test points.
+CG_BLOCK_WIDTH = 32
 
 
 class PredictStrategy(str, Enum):
@@ -104,45 +109,58 @@ def predict(
         W = forward_solve(cholesky(K), np.column_stack((y_train, k_star)))
         w_y, W_k = W[:, 0], W[:, 1:]
         mean = dgemv(1.0, W_k, w_y, trans=1)
-        left, right = W_k, W_k
+        quad = np.einsum("ij,ij->j", W_k, W_k)
         cg = {}
     elif strategy == PredictStrategy.CG:
-        # One preconditioned block solve [alpha | V] = K^-1 [y | k*].
-        noise = theta.noise_variance
-        factor = pivoted_cholesky(K, noise)
-        res = cg_solve(_covariance_product(K), np.column_stack((y_train, k_star)),
-                       tol=cg_tol, max_iter=cg_max_iter,
-                       precondition=woodbury_preconditioner(factor, noise))
-        _require_converged(res)
-        alpha, V = res.x[:, 0], res.x[:, 1:]
-        mean = dgemv(1.0, k_star.T, alpha)
-        left, right = k_star, V
-        cg = {"cg_iterations": res.iterations.tolist(),
-              "cg_preconditioner_rank": factor.shape[1],
-              "cg_residual_max": float(res.residual.max())}
+        mean, quad, cg = _predict_cg(K, theta.noise_variance, y_train, k_star, cg_tol, cg_max_iter)
     else:
         raise ValueError("use predict_nn for nearest-neighbor prediction")
 
-    # k*^T K^-1 k* is left^T right: W_k^T W_k (exact) or k*^T V (CG).
-    variance = np.maximum(prior_var - np.einsum("ij,ij->j", left, right), 0.0)
+    # quad is k*^T K^-1 k* per test point.
+    variance = np.maximum(prior_var - quad, 0.0)
     return PredictionResult(mean=mean, variance=variance, strategy=strategy, **cg)
 
 
-def _covariance_product(K: np.ndarray):
-    """V -> K V for a Fortran-ordered block V, on scipy's BLAS.
+def _predict_cg(K, noise, y, k_star, tol, max_iter):
+    """Mean, k*^T K^-1 k* per test point and the CG report, from
+    preconditioned solves K [alpha | V] = [y | k*] in blocks of at most
+    CG_BLOCK_WIDTH columns, y in the first. One pivoted-Cholesky factor
+    serves every block, and each block's share of colsum(k* o V) is taken
+    before the next block is solved."""
+    factor = pivoted_cholesky(K, noise)
+    product = _covariance_product(K)
+    precondition = woodbury_preconditioner(factor, noise)
+    t = k_star.shape[1]
+    quad = np.empty(t)
+    iterations, residuals = [], []
+    for start in range(-1, t, CG_BLOCK_WIDTH):
+        lo, hi = max(start, 0), min(start + CG_BLOCK_WIDTH, t)
+        block = k_star[:, lo:hi]
+        rhs = block if start >= 0 else np.column_stack((y, block))
+        res = cg_solve(product, rhs, tol=tol, max_iter=max_iter, precondition=precondition)
+        _require_converged(res)
+        V = res.x
+        if start < 0:
+            alpha, V = V[:, 0], V[:, 1:]
+        quad[lo:hi] = np.einsum("ij,ij->j", block, V)
+        iterations += res.iterations.tolist()
+        residuals.append(res.residual.max())
+    mean = dgemv(1.0, k_star.T, alpha)
+    return mean, quad, {"cg_iterations": iterations,
+                        "cg_preconditioner_rank": factor.shape[1],
+                        "cg_residual_max": float(max(residuals))}
 
-    K.T is K's own buffer in Fortran order, so nothing is copied. dsymv
-    reads one triangle of K and dgemm all of it, and dsymm handles a narrow
-    block poorly: at n=6000 (2 cores, OpenBLAS 0.3.30) K V took 5.8 ms per
-    column as dsymv, 17.5 ms for two columns and 18.7 ms for three as one
-    dgemm, and 62 ms for two as dsymm. So a block of up to two columns takes
-    one dsymv per column, and a wider one one dgemm.
+
+def _covariance_product(K: np.ndarray):
+    """V -> K V for a Fortran-ordered block V: one dsymv per column on
+    scipy's BLAS. K.T is K's own buffer in Fortran order, so nothing is
+    copied. dsymm handles a narrow block poorly: at n=6000 (2 cores,
+    OpenBLAS 0.3.30) K times two columns took 62 ms as dsymm against
+    5.8 ms per column as dsymv.
     """
     KF = K.T
 
     def product(V: np.ndarray) -> np.ndarray:
-        if V.shape[1] > 2:
-            return dgemm(1.0, KF, V)
         out = np.empty_like(V, order="F")
         for j in range(V.shape[1]):
             out[:, j] = dsymv(1.0, KF, V[:, j])

@@ -238,6 +238,14 @@ def test_cg_block_columns_match_vector_solves():
         assert np.linalg.norm(block.x[:, j] - single.x) <= tol * np.linalg.norm(single.x)
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 3)])
+def test_preconditioned_cg_zero_right_hand_side(shape):
+    result = cg_solve(lambda v: v, np.zeros(shape), precondition=lambda v: 2.0 * v)
+    assert np.array_equal(result.x, np.zeros(shape))
+    assert np.all(result.converged) and np.all(result.iterations == 0)
+    assert np.all(result.residual == 0.0)
+
+
 def test_pivoted_cholesky_rank_rule_and_woodbury_inverse():
     X = np.linspace(0.0, 3.0, 40)[:, None]
     noise = 0.1

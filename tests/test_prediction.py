@@ -19,6 +19,7 @@ from gpsgd import (
     simulate_gp,
     train_test_split,
 )
+from gpsgd import prediction
 from gpsgd.kernels import cross_kernel_matrix, marginal_covariance
 from gpsgd.linalg import cg_solve, cholesky, solve
 from gpsgd.prediction import CGConvergenceError
@@ -96,6 +97,27 @@ def test_preconditioned_cg_two_kernel_matches_exact_in_fewer_iterations():
     K = marginal_covariance(kernels, theta, ds.X)
     plain = cg_solve(lambda v: K @ v, ds.y, tol=tol)
     assert plain.converged and cg.cg_iterations[0] < plain.iterations
+
+
+def test_cg_solves_wide_test_sets_in_bounded_blocks(monkeypatch):
+    theta = HyperParams((4.0,), 0.5)
+    ds = simulate_gp(MK, theta, 200, Gaussian(5.0), 1, seed=17)
+    X_test = component_rng(18, "cg-blocks").normal(0, 5.0, size=(8, 1))
+    widths = []
+
+    def recording_cg_solve(matvec, b, **kwargs):
+        widths.append(b.shape[1])
+        return cg_solve(matvec, b, **kwargs)
+
+    monkeypatch.setattr(prediction, "CG_BLOCK_WIDTH", 3)
+    monkeypatch.setattr(prediction, "cg_solve", recording_cg_solve)
+    tol = 1e-8
+    exact = predict(theta, MK, ds.X, ds.y, X_test, strategy=PredictStrategy.EXACT)
+    cg = predict(theta, MK, ds.X, ds.y, X_test, strategy=PredictStrategy.CG, cg_tol=tol)
+    assert widths == [3, 3, 3]   # [y | k*_0 k*_1], then two blocks of three
+    assert len(cg.cg_iterations) == 9 and cg.cg_residual_max <= tol
+    assert np.max(np.abs(exact.mean - cg.mean)) < 10 * tol * max(1, np.abs(exact.mean).max())
+    assert np.max(np.abs(exact.variance - cg.variance)) < 10 * tol * 4.0
 
 
 def test_cg_non_convergence_reports_residual():
