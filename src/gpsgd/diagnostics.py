@@ -24,7 +24,7 @@ from .kernels import HyperParams, KernelSpec, MultiKernel, kernel_matrix, kernel
 from .linalg import cholesky, sym_eigenvalues, two_sided_solve
 from .sampling import SamplingScheme, build_index, draw_batches
 from .seeds import component_rng
-from .training import ScalingPolicy, _gradient_core
+from .training import GradientPlan, ScalingPolicy
 
 
 class DecayFamily(str, Enum):
@@ -66,10 +66,7 @@ def conditional_expected_gradient(
     K(theta) and K* = K(theta_true), both on the batch inputs. Exact for any
     number of kernels; zero in every slot at theta = theta_true.
     """
-    batch_X = np.asarray(batch_X, dtype=np.float64)
-    if batch_X.ndim == 1:
-        batch_X = batch_X[:, None]
-    divisors = scaling.divisors(batch_X.shape[0], theta)
+    divisors = scaling.divisors(np.shape(batch_X)[0], theta)
 
     K = marginal_covariance(kernels, theta, batch_X)
     K_true = marginal_covariance(kernels, theta_true, batch_X)
@@ -131,14 +128,11 @@ def monte_carlo_expected_gradient(
     All draws share one factorization of K(theta), passed to the gradient
     as one m x draws block. Independent of the trace-formula route.
     """
-    batch_X = np.asarray(batch_X, dtype=np.float64)
-    if batch_X.ndim == 1:
-        batch_X = batch_X[:, None]
-    m = batch_X.shape[0]
+    m = np.shape(batch_X)[0]
     factor_true = cholesky(marginal_covariance(kernels, theta_true, batch_X))
     rng = component_rng(seed, "mc-expected-gradient")
     Y = factor_true.lower @ rng.standard_normal((draws, m)).T
-    samples = _gradient_core(theta, kernels, batch_X, Y, scaling.divisors(m, theta))
+    samples = GradientPlan(kernels, theta, batch_X, Y)(theta.to_vector(), scaling.divisors(m, theta))
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(draws)
     return mean, stderr

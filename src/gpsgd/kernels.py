@@ -19,6 +19,11 @@ also gets the unit diagonal and the noise), and is written into its place
 and, transposed, into the mirrored one. Explicit differences make entry
 (a, b) equal (b, a) bit for bit, so the mirror is exact and the result
 equals building every entry; the only n x n array allocated is the result.
+
+A CovariancePlan checks theta's layout and the inputs once, when built, and
+then maps a plain theta vector and a batch's rows to K and its contraction
+(every gradient slot, each RBF kernel's lengthscales in one product);
+`marginal_covariance` and `covariance_and_contraction` are its one-call forms.
 """
 
 from __future__ import annotations
@@ -69,9 +74,6 @@ class KernelSpec:
     def n_lengthscales(self) -> int:
         return len(self.lengthscales)
 
-    def with_lengthscales(self, lengthscales: tuple[float, ...]) -> "KernelSpec":
-        return KernelSpec(self.family, tuple(lengthscales), self.matern_order)
-
     def to_config(self) -> dict:
         cfg = {"family": self.family.value, "lengthscales": list(self.lengthscales)}
         if self.matern_order is not None:
@@ -80,8 +82,7 @@ class KernelSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "KernelSpec":
-        known = {"family", "lengthscales", "matern_order"}
-        unknown = set(cfg) - known
+        unknown = set(cfg) - {"family", "lengthscales", "matern_order"}
         if unknown:
             raise ValueError(f"unknown kernel config keys: {sorted(unknown)}")
         family = KernelFamily(cfg["family"])
@@ -121,16 +122,11 @@ class MultiKernel:
 
     def lengthscale_slots(self) -> list[tuple[int, int]]:
         """(component index, dimension index) for each flat lengthscale slot."""
-        slots = []
-        for c, spec in enumerate(self.components):
-            slots.extend((c, d) for d in range(spec.n_lengthscales))
-        return slots
+        return [(c, d) for c, spec in enumerate(self.components)
+                for d in range(spec.n_lengthscales)]
 
     def flat_lengthscales(self) -> tuple[float, ...]:
-        out: list[float] = []
-        for spec in self.components:
-            out.extend(spec.lengthscales)
-        return tuple(out)
+        return tuple(l for spec in self.components for l in spec.lengthscales)
 
     @classmethod
     def single(cls, spec: KernelSpec) -> "MultiKernel":
@@ -154,9 +150,7 @@ class HyperParams:
     def __post_init__(self):
         if len(self.signal_variances) < 1:
             raise ValueError("at least one signal variance is required")
-        values = list(self.signal_variances) + [self.noise_variance]
-        if self.lengthscales is not None:
-            values += list(self.lengthscales)
+        values = [*self.signal_variances, self.noise_variance, *(self.lengthscales or ())]
         if any(not math.isfinite(v) or v <= 0 for v in values):
             raise ValueError(f"all hyperparameters must be strictly positive, got {values}")
 
@@ -166,14 +160,11 @@ class HyperParams:
 
     @property
     def n_params(self) -> int:
-        extra = 0 if self.lengthscales is None else len(self.lengthscales)
-        return len(self.signal_variances) + 1 + extra
+        return len(self.signal_variances) + 1 + len(self.lengthscales or ())
 
     def to_vector(self) -> np.ndarray:
-        vec = list(self.signal_variances) + [self.noise_variance]
-        if self.lengthscales is not None:
-            vec += list(self.lengthscales)
-        return np.array(vec, dtype=np.float64)
+        return np.array([*self.signal_variances, self.noise_variance, *(self.lengthscales or ())],
+                        dtype=np.float64)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_kernels: int, has_lengthscales: bool) -> "HyperParams":
@@ -189,27 +180,18 @@ class HyperParams:
 def param_names(kernels: MultiKernel, theta: HyperParams) -> list[str]:
     """Column names for the flat parameter vector, CSV order."""
     names = [f"theta_{l + 1}" for l in range(kernels.n_kernels + 1)]
-    if theta.lengthscales is not None:
-        for c, d in kernels.lengthscale_slots():
-            names.append(f"lengthscale_{c + 1}_{d + 1}")
-    return names
+    slots = kernels.lengthscale_slots() if theta.lengthscales is not None else []
+    return names + [f"lengthscale_{c + 1}_{d + 1}" for c, d in slots]
 
 
 def effective_kernels(kernels: MultiKernel, theta: HyperParams) -> MultiKernel:
     """Substitute learned lengthscales from `theta` into the kernel specs."""
+    _check_theta(kernels, theta)
     if theta.lengthscales is None:
         return kernels
-    if len(theta.lengthscales) != kernels.n_lengthscales:
-        raise ValueError(
-            f"{len(theta.lengthscales)} lengthscales for {kernels.n_lengthscales} slots"
-        )
-    specs = []
-    pos = 0
-    for spec in kernels.components:
-        k = spec.n_lengthscales
-        specs.append(spec.with_lengthscales(theta.lengthscales[pos:pos + k]))
-        pos += k
-    return MultiKernel(tuple(specs))
+    ls = iter(theta.lengthscales)
+    return MultiKernel(tuple(KernelSpec(s.family, tuple(next(ls) for _ in s.lengthscales),
+                                        s.matern_order) for s in kernels.components))
 
 
 def _check_points(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,44 +278,41 @@ def _from_tiles(n: int, t: int, tile, symmetric: bool) -> np.ndarray:
     return out
 
 
-def _scaled_inputs(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+# The helpers below take a kernel as plain values: its Matern order (None
+# for RBF) and its lengthscales (RBF) or (h,) (Matern).
+
+def _scaled_inputs(order: float | None, ls, X: np.ndarray) -> np.ndarray:
     """X / l_j per dimension (RBF) or X itself (Matern), so that the squared
     distance between rows is what the kernel profile takes."""
-    if spec.family == KernelFamily.RBF:
-        return X / np.asarray(spec.lengthscales)[None, :]
-    return X
+    return X / np.asarray(ls) if order is None else X
 
 
-def _scaled_sq_dists(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """Pairwise sum_j (x_aj - x_bj)^2 / l_j^2 (RBF) or squared Euclidean
-    distance (Matern)."""
-    Z = _scaled_inputs(spec, X)
+def _sq_dists(Z: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of Z."""
     return _from_tiles(Z.shape[0], Z.shape[0], lambda r, c: _tile_sq(Z[r], Z[c]), True)
 
 
-def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, diagonal: bool) -> np.ndarray:
+def _kernel_from_sq(order: float | None, ls, sq: np.ndarray, diagonal: bool) -> np.ndarray:
     """Base kernel values from scaled squared distances; `diagonal` marks a
     block whose diagonal pairs a point with itself (set exactly to 1)."""
-    if spec.family == KernelFamily.RBF:
-        K = np.exp(-0.5 * sq)
-    else:
-        K = _matern_profile(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
+    K = np.exp(-0.5 * sq) if order is None else _matern_profile(np.sqrt(sq), order, float(ls[0]))
     if diagonal:
         np.fill_diagonal(K, 1.0)
     return K
 
 
-def _base_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """`kernel_matrix` on already checked inputs."""
-    Z = _scaled_inputs(spec, X)
+def _base_matrix(order: float | None, ls, Z: np.ndarray) -> np.ndarray:
+    """The base kernel matrix over the rows of the scaled inputs Z."""
     return _from_tiles(
         Z.shape[0], Z.shape[0],
-        lambda r, c: _kernel_from_sq(spec, _tile_sq(Z[r], Z[c]), r == c), True)
+        lambda r, c: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c]), r == c), True)
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """Base kernel matrix over the rows of X: symmetric, unit diagonal, PSD."""
-    return _base_matrix(spec, _check_inputs(spec, X))
+    X = _check_inputs(spec, X)
+    order, ls = spec.matern_order, spec.lengthscales
+    return _base_matrix(order, ls, _scaled_inputs(order, ls, X))
 
 
 def cross_kernel_matrix(spec: KernelSpec, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -342,10 +321,11 @@ def cross_kernel_matrix(spec: KernelSpec, X: np.ndarray, X2: np.ndarray) -> np.n
     X2 = _check_inputs(spec, X2)
     if X.shape[1] != X2.shape[1]:
         raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
-    Z, Z2 = _scaled_inputs(spec, X), _scaled_inputs(spec, X2)
+    order, ls = spec.matern_order, spec.lengthscales
+    Z, Z2 = _scaled_inputs(order, ls, X), _scaled_inputs(order, ls, X2)
     return _from_tiles(
         Z.shape[0], Z2.shape[0],
-        lambda r, c: _kernel_from_sq(spec, _tile_sq(Z[r], Z2[c]), False), False)
+        lambda r, c: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c]), False), False)
 
 
 def _check_inputs(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -374,73 +354,105 @@ def _check_theta(kernels: MultiKernel, theta: HyperParams) -> None:
         )
 
 
-def marginal_covariance(kernels: MultiKernel, theta: HyperParams, X: np.ndarray) -> np.ndarray:
-    """K(theta) = sum_l theta_l K_l + noise * I over the rows of X.
+class CovariancePlan:
+    """K(theta) and its contraction over rows of one input matrix.
 
-    Each tile sums its components' scaled base tiles in component order and
-    adds the noise on its diagonal, so no n x n array but K is allocated.
+    Building the plan checks theta's layout against the kernels and the
+    dimension and finiteness of X, once. A call takes theta as a flat vector
+    in HyperParams.to_vector() order, of that layout and positive (neither is
+    checked again), and optionally a batch's row indices; it works on plain
+    arrays and builds no KernelSpec or HyperParams.
     """
-    _check_theta(kernels, theta)
-    eff = effective_kernels(kernels, theta)
-    X = _check_inputs(eff.components[0], X)
-    parts = [(variance, spec, _scaled_inputs(spec, X))
-             for variance, spec in zip(theta.signal_variances, eff.components)]
 
-    def tile(rows: slice, cols: slice) -> np.ndarray:
-        block = sum(variance * _kernel_from_sq(spec, _tile_sq(Z[rows], Z[cols]), rows == cols)
-                    for variance, spec, Z in parts)
-        if rows == cols:
-            block[np.diag_indices(block.shape[0])] += theta.noise_variance
-        return block
+    def __init__(self, kernels: MultiKernel, theta: HyperParams, X: np.ndarray):
+        _check_theta(kernels, theta)
+        self.X = _check_inputs(kernels.components[0], X)
+        for spec in kernels.components[1:]:   # an RBF kernel takes one lengthscale per column
+            _check_inputs(spec, self.X)
+        self.n_kernels, self.learn = kernels.n_kernels, theta.lengthscales is not None
+        ends = kernels.n_kernels + 1 + np.cumsum([s.n_lengthscales for s in kernels.components])
+        # each component's order, fixed lengthscales and slots in the vector
+        self.components = [(s.matern_order, np.array(s.lengthscales),
+                            slice(end - s.n_lengthscales, end))
+                           for s, end in zip(kernels.components, ends)]
 
-    return _from_tiles(X.shape[0], X.shape[0], tile, True)
+    def _parts(self, theta: np.ndarray, rows) -> tuple[np.ndarray, list]:
+        """The rows, and (variance, order, lengthscales, scaled rows) per component."""
+        X = self.X if rows is None else self.X[rows]
+        parts = []
+        for variance, (order, ls, span) in zip(theta, self.components):
+            ls = theta[span] if self.learn else ls
+            parts.append((variance, order, ls, _scaled_inputs(order, ls, X)))
+        return X, parts
+
+    def covariance(self, theta: np.ndarray, rows=None) -> np.ndarray:
+        """K(theta) over the rows. Each tile sums its components' scaled base
+        tiles in component order and adds the noise on its diagonal, so no
+        n x n array but K is allocated."""
+        X, parts = self._parts(theta, rows)
+
+        def tile(r: slice, c: slice) -> np.ndarray:
+            block = sum(variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c]), r == c)
+                        for variance, order, ls, Z in parts)
+            if r == c:
+                block.flat[::block.shape[0] + 1] += theta[self.n_kernels]
+            return block
+
+        return _from_tiles(X.shape[0], X.shape[0], tile, True)
+
+    def __call__(self, theta: np.ndarray, rows=None) -> tuple[np.ndarray, Callable]:
+        """K(theta) over the rows, and `contract(W)`: <W, dK/dtheta_l> for
+        every slot in theta's order, no derivative matrix built. With B_c
+        the base matrix of kernel c:
+        * signal slot: <W, B_c>; noise slot: tr(W);
+        * RBF lengthscales: dB_c/dl_d = B_c o (dx_d)^2 / l_d^3, so with
+          P = W o B_c all of them are theta_c / l^3 o sum_ab P_ab (x_a - x_b)^2,
+          one product per tile over its (rows, cols, D) squared differences.
+          Differences of x, not of x / l, stay exact for close points far
+          from the origin, as in a nearby batch;
+        * Matern scale: theta_c <W, dprofile/dh(r)> on the distances of B_c.
+        K equals `covariance` and the signal and noise entries equal
+        <W, kernel_matrix_grad(...)> bit for bit; the scale entries agree to
+        rounding.
+        """
+        X, parts = self._parts(theta, rows)
+        bases, dists = [], []
+        for _, order, ls, Z in parts:
+            # Only the Matern d/dh needs the distances again; RBF reuses B_c.
+            sq = _sq_dists(Z) if self.learn and order is not None else None
+            bases.append(_base_matrix(order, ls, Z) if sq is None
+                         else _kernel_from_sq(order, ls, sq, True))
+            dists.append(sq)
+        K = sum(part[0] * base for part, base in zip(parts, bases))
+        K.flat[::K.shape[0] + 1] += theta[self.n_kernels]
+
+        def contract(W: np.ndarray) -> np.ndarray:
+            out = [np.einsum("ab,ab->", W, base) for base in bases] + [np.trace(W)]
+            learned = zip(parts, bases, dists) if self.learn else ()
+            for (variance, order, ls, _), base, sq in learned:
+                if order is not None:
+                    dh = _matern_profile_dh(np.sqrt(sq), order, float(ls[0]))
+                    out.append(variance * np.einsum("ab,ab->", W, dh))
+                    continue
+                P, tiles = W * base, [slice(i, i + _TILE) for i in range(0, len(X), _TILE)]
+                out.extend(variance / ls**3 * sum(
+                    np.einsum("ab,abd->d", P[r, c], (X[r, None] - X[c]) ** 2)
+                    for r in tiles for c in tiles))
+            return np.array(out)
+
+        return K, contract
+
+
+def marginal_covariance(kernels: MultiKernel, theta: HyperParams, X: np.ndarray) -> np.ndarray:
+    """K(theta) = sum_l theta_l K_l + noise * I over the rows of X."""
+    return CovariancePlan(kernels, theta, X).covariance(theta.to_vector())
 
 
 def covariance_and_contraction(
     kernels: MultiKernel, theta: HyperParams, X: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """K(theta) over the rows of X, and `contract(W)`: <W, dK/dtheta_l> for
-    every flat slot in HyperParams.to_vector() order, no derivative matrix
-    built. With B_c the base matrix of kernel c:
-    * signal slot: <W, B_c>; noise slot: tr(W);
-    * RBF lengthscale d: dB_c/dl_d = B_c o (dz_d)^2 / l_d with z = x / l, so
-      theta_c / l_d * sum_ab (W o B_c)_ab (z_ad - z_bd)^2, one dimension at
-      a time so that no array exceeds n x n;
-    * Matern scale: theta_c <W, dprofile/dh(r)> on the distances of B_c.
-    K equals `marginal_covariance` and the signal and noise entries equal
-    <W, kernel_matrix_grad(...)> bit for bit; the scale entries agree to
-    rounding.
-    """
-    _check_theta(kernels, theta)
-    eff = effective_kernels(kernels, theta)
-    X = _check_inputs(eff.components[0], X)
-    learn = theta.lengthscales is not None
-    bases, dists = [], []
-    for spec in eff.components:
-        # Only the Matern d/dh needs the distances again; RBF reuses B_c.
-        sq = _scaled_sq_dists(spec, X) if learn and spec.family == KernelFamily.MATERN else None
-        bases.append(_base_matrix(spec, X) if sq is None else _kernel_from_sq(spec, sq, True))
-        dists.append(sq)
-    K = sum(variance * base for variance, base in zip(theta.signal_variances, bases))
-    K[np.diag_indices(X.shape[0])] += theta.noise_variance
-
-    def contract(W: np.ndarray) -> np.ndarray:
-        out = [np.einsum("ab,ab->", W, base) for base in bases] + [np.trace(W)]
-        scaled = zip(theta.signal_variances, eff.components, bases, dists) if learn else ()
-        for variance, spec, base, sq in scaled:
-            if spec.family == KernelFamily.MATERN:
-                dh = _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
-                out.append(variance * np.einsum("ab,ab->", W, dh))
-                continue
-            WB, Z = W * base, _scaled_inputs(spec, X)
-            dz = np.empty_like(WB)
-            for d, l in enumerate(spec.lengthscales):
-                np.subtract(Z[:, None, d], Z[None, :, d], out=dz)
-                dz *= dz
-                out.append(variance / l * np.einsum("ab,ab->", WB, dz))
-        return np.array(out)
-
-    return K, contract
+    """K(theta) over the rows of X and its contraction (see CovariancePlan)."""
+    return CovariancePlan(kernels, theta, X)(theta.to_vector())
 
 
 def kernel_matrix_grad(
@@ -452,16 +464,13 @@ def kernel_matrix_grad(
     base kernel matrix K_l), then noise (identity), then lengthscale slots
     (elementwise derivative, scaled by the owning kernel's signal variance).
     """
-    _check_theta(kernels, theta)
     eff = effective_kernels(kernels, theta)
     X = _check_inputs(eff.components[0], X)
-    n = X.shape[0]
     M = kernels.n_kernels
-
     if 0 <= param_index < M:
         return kernel_matrix(eff.components[param_index], X)
     if param_index == M:
-        return np.eye(n)
+        return np.eye(X.shape[0])
 
     ls_slot = param_index - M - 1
     if theta.lengthscales is None or not 0 <= ls_slot < kernels.n_lengthscales:
@@ -480,5 +489,4 @@ def base_lengthscale_grad(spec: KernelSpec, X: np.ndarray, dim: int) -> np.ndarr
         l = spec.lengthscales[dim]
         diff = X[:, None, dim] - X[None, :, dim]
         return kernel_matrix(spec, X) * diff**2 / l**3
-    sq = _scaled_sq_dists(spec, X)
-    return _matern_profile_dh(np.sqrt(sq), spec.matern_order, spec.lengthscales[0])
+    return _matern_profile_dh(np.sqrt(_sq_dists(X)), spec.matern_order, spec.lengthscales[0])

@@ -64,17 +64,21 @@ class PredictionResult:
     cg_residual_max: float | None = None
 
 
-def _as_inputs(X_train, X_test):
-    """Training and test inputs as float64 matrices, one row per point. A
-    1-D training array is one-dimensional points; a 1-D test array is too
-    when the training points are, and is one point otherwise."""
+def _as_inputs(X_train, y_train, X_test):
+    """Training and test inputs as float64 matrices, one row per point, and
+    the training responses, which must be finite. A 1-D training array is
+    one-dimensional points; a 1-D test array is too when the training points
+    are, and is one point otherwise."""
+    y_train = np.asarray(y_train, dtype=np.float64)
+    if not np.all(np.isfinite(y_train)):
+        raise ValueError("y_train has non-finite entries")
     X_train = np.asarray(X_train, dtype=np.float64)
     X_test = np.asarray(X_test, dtype=np.float64)
     if X_train.ndim == 1:
         X_train = X_train[:, None]
     if X_test.ndim == 1:
         X_test = X_test[:, None] if X_train.shape[1] == 1 else X_test[None, :]
-    return X_train, X_test
+    return X_train, y_train, X_test
 
 
 def predict(
@@ -92,8 +96,7 @@ def predict(
     With no explicit strategy, Cholesky is used below 10^4 training points
     and CG above. Exact and CG agree within a small multiple of cg_tol.
     """
-    y_train = np.asarray(y_train, dtype=np.float64)
-    X_train, X_test = _as_inputs(X_train, X_test)
+    X_train, y_train, X_test = _as_inputs(X_train, y_train, X_test)
     k_star = np.zeros((X_train.shape[0], X_test.shape[0]))
     for variance, spec in zip(theta.signal_variances, effective_kernels(kernels, theta).components):
         k_star += variance * cross_kernel_matrix(spec, X_train, X_test)
@@ -190,8 +193,7 @@ def predict_nn(
     """Prediction conditioning each test point on only its n_neighbors
     nearest training points: one batched neighbor query for all test
     points, then an exact prediction per point."""
-    X_train, X_test = _as_inputs(X_train, X_test)
-    y_train = np.asarray(y_train, dtype=np.float64)
+    X_train, y_train, X_test = _as_inputs(X_train, y_train, X_test)
     n = X_train.shape[0]
     if not 1 <= n_neighbors <= n:
         raise ValueError(f"n_neighbors must be in [1, {n}], got {n_neighbors}")

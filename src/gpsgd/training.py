@@ -13,6 +13,12 @@ reduces to the full gradient exactly.
 Two optimizers run through one loop: plain SGD with diminishing step sizes
 alpha_k = alpha_1 / k, and Adam with a constant learning rate for joint
 variance + lengthscale estimation.
+
+Every gradient goes through a GradientPlan. A fit builds one before its
+first iteration, which checks theta0's layout against the kernels and the
+finiteness of X and y once; each iteration then maps the plain theta vector
+and the batch's rows to the gradient. `stochastic_gradient` and
+`full_gradient` are the plan's one-call forms, so a fit replays bit for bit.
 """
 
 from __future__ import annotations
@@ -26,13 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .kernels import (
-    HyperParams,
-    MultiKernel,
-    covariance_and_contraction,
-    marginal_covariance,
-    param_names,
-)
+from .kernels import CovariancePlan, HyperParams, MultiKernel, marginal_covariance, param_names
 from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
 from .sampling import Minibatch, SamplingScheme, SpatialIndex, build_index, draw_batches
 from .seeds import iteration_rng
@@ -91,8 +91,8 @@ class SGDConfig:
     Exactly one of `iterations` or `epochs` must be set; an epoch is
     ceil(n / m) iterations. `alpha1` is the SGD initial step (alpha_k =
     alpha1 / k); `learning_rate` is the Adam step. `clamp` bounds iterates to
-    [theta_min, theta_max]; `clip` rescales stochastic gradients with norm
-    above G. Both are off by default.
+    [theta_min, theta_max], 0 < theta_min; `clip` rescales stochastic
+    gradients with norm above G. Both are off by default.
     """
 
     m: int
@@ -120,8 +120,9 @@ class SGDConfig:
             raise ValueError("alpha1 must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.clamp is not None and not self.clamp[0] < self.clamp[1]:
-            raise ValueError("clamp bounds must satisfy theta_min < theta_max")
+        if self.clamp is not None and not 0 < self.clamp[0] < self.clamp[1]:
+            raise ValueError(
+                f"clamp bounds must satisfy 0 < theta_min < theta_max, got {self.clamp}")
         if self.clip is not None and self.clip <= 0:
             raise ValueError("clip threshold must be positive")
         if self.grad_norm_every < 0:
@@ -216,65 +217,71 @@ class FitDivergedError(Exception):
 def nll_loss(theta: HyperParams, kernels: MultiKernel, X: np.ndarray, y: np.ndarray) -> float:
     """Scaled negative log marginal likelihood of y given X."""
     y = np.asarray(y, dtype=np.float64)
-    K = marginal_covariance(kernels, theta, X)
-    factor = cholesky(K)
-    alpha = solve(factor, y)
+    factor = cholesky(marginal_covariance(kernels, theta, X))
     n = y.shape[0]
-    return float((y @ alpha + log_det(factor) + n * LOG_2PI) / (2.0 * n))
+    return float((y @ solve(factor, y) + log_det(factor) + n * LOG_2PI) / (2.0 * n))
 
 
-def _gradient_core(theta: HyperParams, kernels: MultiKernel, X: np.ndarray, Y: np.ndarray,
-                   divisors: np.ndarray) -> np.ndarray:
-    """Row j: the gradient slots <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) with
-    a = K^-1 Y[:, j], for each column of the m x r block Y.
+class GradientPlan:
+    """The trace-formula gradient over one data set, checked once.
+
+    Building the plan checks what CovariancePlan checks, and the shape and
+    finiteness of the responses Y, an n x r block (a vector is one column).
+    A call maps a flat theta vector (positive, of the plan's layout), the
+    per-slot divisors s_l and optionally a batch's row indices (default:
+    every row) to the r x p block whose row j holds
+    <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) over those rows, a = K^-1 Y[:, j].
 
     One covariance build, one Cholesky, one inverse and one solve serve the
-    whole block; each column then costs one `contract` (see
-    covariance_and_contraction), whose `einsum` products keep the pass on
-    scipy's BLAS pool (see the linalg docstring). The last column subtracts
-    a a^T from the inverse in place, so a one-column block makes no copy of
-    it: full_gradient runs at n in the thousands.
+    whole block; each column then costs one contraction. The last column
+    subtracts a a^T from the inverse in place, so a one-column block makes
+    no copy of it: the full gradient runs at n in the thousands.
     """
-    K, contract = covariance_and_contraction(kernels, theta, X)
-    factor = cholesky(K)
-    del K  # full_gradient runs this at n in the thousands: free K before the inverse
-    alpha = solve(factor, Y)
-    inv = inverse(factor)
-    out = np.empty((Y.shape[1], divisors.shape[0]))
-    for j, a in enumerate(alpha.T):
-        W = inv if j == len(out) - 1 else inv.copy()
-        W -= a[:, None] * a
-        out[j] = contract(W)
-    return out / (2.0 * divisors)
+
+    def __init__(self, kernels: MultiKernel, theta: HyperParams, X: np.ndarray, Y: np.ndarray):
+        self.covariance_plan = CovariancePlan(kernels, theta, X)
+        n = len(self.covariance_plan.X)
+        Y = np.asarray(Y, dtype=np.float64)
+        Y = Y[:, None] if Y.ndim == 1 else Y
+        if Y.ndim != 2 or Y.shape[0] != n:
+            raise ValueError(f"responses of shape {Y.shape} for {n} inputs")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("non-finite responses")
+        self.Y = Y
+
+    def __call__(self, theta: np.ndarray, divisors: np.ndarray, rows=None) -> np.ndarray:
+        K, contract = self.covariance_plan(theta, rows)
+        factor = cholesky(K)
+        del K  # the full gradient runs at n in the thousands: free K before the inverse
+        alpha = solve(factor, self.Y if rows is None else self.Y[rows])
+        inv = inverse(factor)
+        out = np.empty((alpha.shape[1], divisors.shape[0]))
+        for j, a in enumerate(alpha.T):
+            W = inv if j == len(out) - 1 else inv.copy()
+            W -= a[:, None] * a
+            out[j] = contract(W)
+        return out / (2.0 * divisors)
 
 
-def full_gradient(
-    theta: HyperParams, kernels: MultiKernel, X: np.ndarray, y: np.ndarray
-) -> np.ndarray:
+def full_gradient(theta: HyperParams, kernels: MultiKernel, X: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
     """Gradient of nll_loss over the full dataset, one entry per parameter
     slot (signal variances, noise, then lengthscales when present)."""
-    y = np.asarray(y, dtype=np.float64)
-    divisors = ScalingPolicy().divisors(y.shape[0], theta)
-    return _gradient_core(theta, kernels, X, y[:, None], divisors)[0]
+    plan = GradientPlan(kernels, theta, X, y)
+    return plan(theta.to_vector(), ScalingPolicy().divisors(plan.Y.shape[0], theta))[0]
 
 
-def stochastic_gradient(
-    theta: HyperParams,
-    kernels: MultiKernel,
-    batch: Minibatch,
-    X: np.ndarray,
-    y: np.ndarray,
-    scaling: ScalingPolicy = ScalingPolicy(),
-) -> np.ndarray:
-    """Minibatch gradient estimate with per-slot scaling s_l(m)."""
+def stochastic_gradient(theta: HyperParams, kernels: MultiKernel, batch: Minibatch, X: np.ndarray,
+                        y: np.ndarray, scaling: ScalingPolicy = ScalingPolicy()) -> np.ndarray:
+    """Minibatch gradient estimate with per-slot scaling s_l(m): the
+    GradientPlan of the batch's rows."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     idx = batch.indices
     if idx.min() < 0 or idx.max() >= y.shape[0]:
         raise ValueError("batch indices out of range")
-    X2 = X[idx] if X.ndim == 2 else X[idx, None]
-    divisors = scaling.divisors(idx.shape[0], theta)
-    return _gradient_core(theta, kernels, X2, y[idx][:, None], divisors)[0]
+    plan = GradientPlan(kernels, theta, X[idx], y[idx])
+    return plan(theta.to_vector(), scaling.divisors(idx.shape[0], theta))[0]
 
 
 def _batch_stream(config: SGDConfig, n: int, iterations: int,
@@ -292,26 +299,22 @@ class _FitLoop:
     optimizer's update, clamping, trace recording, and failure wrapping.
 
     The batch of iteration k is the one `draw_batches` draws from
-    `iteration_rng(seed, k)`, SCHEDULE_CHUNK iterations per call, and its
-    gradient is `stochastic_gradient`'s at the same theta, bit for bit.
+    `iteration_rng(seed, k)`, SCHEDULE_CHUNK iterations per call. One
+    GradientPlan, built (and so checked) before the first iteration, takes
+    every gradient, so iteration k's is `stochastic_gradient`'s at the same
+    theta, bit for bit. Every iterate is positive (the bounds' lower end is
+    positive, or a non-positive entry ends the fit), so theta stays a plain
+    vector throughout.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        kernels: MultiKernel,
-        config: SGDConfig,
-        theta0: HyperParams,
-    ):
-        self.X = dataset.X
-        self.y = dataset.y
+    def __init__(self, dataset: Dataset, kernels: MultiKernel, config: SGDConfig,
+                 theta0: HyperParams):
+        self.plan = GradientPlan(kernels, theta0, dataset.X, dataset.y)
         self.kernels = kernels
         self.config = config
         self.theta0 = theta0
         self.iterations = config.resolve_iterations(dataset.n)
-        self.n_kernels = kernels.n_kernels
-        self.has_lengthscales = theta0.lengthscales is not None
-        index = build_index(self.X) if config.scheme == SamplingScheme.NEARBY else None
+        index = build_index(dataset.X) if config.scheme == SamplingScheme.NEARBY else None
         self.batches = _batch_stream(config, dataset.n, self.iterations, index)
         rows, params = self.iterations + 1, theta0.n_params
         self.theta = np.empty((rows, params))
@@ -326,6 +329,7 @@ class _FitLoop:
         self.clip_events = 0
         # Fails fast on a batch size the scaling cannot take, before iterating.
         self.divisors = config.scaling.divisors(config.m, theta0)
+        self.full_divisors = ScalingPolicy().divisors(dataset.n, theta0)
 
     def run(self, step: Callable[[int, np.ndarray], tuple], floor: float | None) -> FitTrace:
         """Record theta0 as row 0; then for each k take (delta, step size,
@@ -360,23 +364,18 @@ class _FitLoop:
                                                self.elapsed)]
         for a in columns:
             a.flags.writeable = False
-        names = param_names(self.kernels, self.theta_of(self.theta[0]))
         return FitTrace(
             *columns,
-            param_names=names,
-            n_kernels=self.n_kernels,
-            has_lengthscales=self.has_lengthscales,
+            param_names=param_names(self.kernels, self.theta0),
+            n_kernels=self.kernels.n_kernels,
+            has_lengthscales=self.theta0.lengthscales is not None,
             clamp_events=self.clamp_events,
             clip_events=self.clip_events,
         )
 
-    def theta_of(self, vec: np.ndarray) -> HyperParams:
-        return HyperParams.from_vector(vec, self.n_kernels, self.has_lengthscales)
-
     def batch_gradient(self, k: int, idx: np.ndarray, theta_vec: np.ndarray) -> np.ndarray:
         try:
-            grad = _gradient_core(self.theta_of(theta_vec), self.kernels, self.X[idx],
-                                  self.y[idx][:, None], self.divisors)[0]
+            grad = self.plan(theta_vec, self.divisors, idx)[0]
         except NotPositiveDefiniteError as exc:
             raise FitDivergedError(
                 f"covariance not positive definite at iteration {k}, theta "
@@ -399,20 +398,17 @@ class _FitLoop:
                 bad = int(np.argmax(theta_vec <= 0))
                 raise FitDivergedError(
                     f"parameter slot {bad} left (0, inf) at iteration {k}, theta "
-                    f"{theta_vec.tolist()}; "
-                    "enable clamping or reduce the step size",
-                    self.trace(),
-                )
+                    f"{theta_vec.tolist()}; enable clamping or reduce the step size", self.trace())
             return theta_vec
-        clamped = np.clip(theta_vec, lo, hi)
-        self.clamp_events += int(np.sum(clamped != theta_vec))
+        clamped = np.minimum(np.maximum(theta_vec, lo), hi)
+        self.clamp_events += np.count_nonzero(clamped != theta_vec)
         return clamped
 
     def grad_norm_sq(self, k: int, theta_vec: np.ndarray) -> float | None:
         every = self.config.grad_norm_every
         if every <= 0 or not (k % every == 0 or k == self.iterations):
             return None
-        g = full_gradient(self.theta_of(theta_vec), self.kernels, self.X, self.y)
+        g = self.plan(theta_vec, self.full_divisors)[0]
         return float(g @ g)
 
 

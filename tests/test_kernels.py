@@ -255,7 +255,11 @@ CONTRACTION_CASES = {
                          HyperParams((2.0,), 0.5, (0.7,)), 2),
     "rbf+matern-learned": (MultiKernel((KernelSpec.rbf((1.0, 1.0)), KernelSpec.matern(0.5, 1.0))),
                            HyperParams((3.0, 1.0), 0.5, (0.4, 1.9, 1.3)), 2),
+    # a nearby-style batch: points within 0.01 of a centre far from the origin
+    "rbf-nearby-far": (MultiKernel.single(KernelSpec.rbf((1.0,) * 3)),
+                       HyperParams((2.0,), 0.5, (0.3, 0.3, 0.3)), 3),
 }
+FAR_CENTRES = {"rbf-nearby-far": 1e3}
 
 
 @pytest.mark.parametrize("n", [1, 16, 128, 129, 300])
@@ -263,7 +267,10 @@ CONTRACTION_CASES = {
 def test_contraction_matches_derivative_matrices(case, n):
     kernels, theta, dim = CONTRACTION_CASES[case]
     rng = np.random.default_rng(n)
-    X = rng.normal(size=(n, dim)) * 3
+    if case in FAR_CENTRES:
+        X = FAR_CENTRES[case] + rng.uniform(-0.01, 0.01, size=(n, dim))
+    else:
+        X = rng.normal(size=(n, dim)) * 3
     W = rng.normal(size=(n, n))
     W += W.T
     got = covariance_and_contraction(kernels, theta, X)[1](W)

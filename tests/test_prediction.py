@@ -159,6 +159,20 @@ def test_exact_one_pass_matches_two_solve_oracle():
     assert rel(result.variance, np.diag(cov)) < 1e-12
 
 
+@pytest.mark.parametrize("strategy", [PredictStrategy.EXACT, PredictStrategy.CG, None])
+def test_non_finite_training_responses_are_rejected(strategy):
+    X, y = _training_fixture()
+    y[4] = np.nan
+    X_test = np.array([[1.0], [2.5]])
+    theta = HyperParams((2.0,), 0.5)
+    if strategy is None:
+        with pytest.raises(ValueError, match="y_train"):
+            predict_nn(theta, MK, X, y, X_test, 5, build_index(X))
+    else:
+        with pytest.raises(ValueError, match="y_train"):
+            predict(theta, MK, X, y, X_test, strategy=strategy)
+
+
 def test_predict_nn_full_set_equals_exact():
     theta = HyperParams((4.0,), 1.0)
     ds = simulate_gp(MK, theta, 120, Gaussian(5.0), 1, seed=11)

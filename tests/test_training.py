@@ -147,12 +147,12 @@ def test_block_gradient_columns_match_stochastic_gradient(name, kernels, theta, 
     policy = ScalingPolicy(ScalingMode.LOG_SCALED)
     divisors = policy.divisors(m, theta)
     batch = Minibatch(np.arange(m))
-    block = training._gradient_core(theta, kernels, X, Y, divisors)
+    block = training.GradientPlan(kernels, theta, X, Y)(theta.to_vector(), divisors)
     assert block.shape == (r, theta.n_params)
     for j in range(r):
         one = stochastic_gradient(theta, kernels, batch, X, Y[:, j], policy)
         assert np.allclose(block[j], one, rtol=1e-12, atol=0.0)
-        column = training._gradient_core(theta, kernels, X, Y[:, j:j + 1], divisors)
+        column = training.GradientPlan(kernels, theta, X, Y[:, j:j + 1])(theta.to_vector(), divisors)
         assert np.array_equal(column[0], one)
 
 
@@ -232,6 +232,62 @@ def oracle_gradient(theta, kernels, X, y, divisors):
 
 def _dataset(n=96, seed=10):
     return simulate_gp(MK, HyperParams((4.0,), 1.0), n, Gaussian(5.0), 1, seed=seed)
+
+
+RBF4 = MultiKernel.single(KernelSpec.rbf((1.0,) * 4))
+BAD_PLANS = {
+    # (kernels, theta, X, y) and the message each must raise
+    "theta-length": (MK, HyperParams((1.0, 1.0), 0.5), np.zeros((5, 1)), np.zeros(5),
+                     "2 signal variances for 1 kernels"),
+    "lengthscale-count": (RBF4, HyperParams((1.0,), 0.5, (1.0, 1.0, 1.0)), np.zeros((5, 4)),
+                          np.zeros(5), "3 lengthscales for 4 slots"),
+    "input-dimension": (RBF4, HyperParams((1.0,), 0.5), np.zeros((5, 3)), np.zeros(5),
+                        "input dimension 3 does not match 4 lengthscales"),
+    "second-kernel-dimension": (MultiKernel((KernelSpec.rbf(0.5), KernelSpec.rbf((1.0, 1.0)))),
+                                HyperParams((1.0, 1.0), 0.5), np.zeros((5, 1)), np.zeros(5),
+                                "input dimension 1 does not match 2 lengthscales"),
+    "non-finite-X": (MK, HyperParams((1.0,), 0.5), np.array([[0.0], [np.inf], [1.0]]),
+                     np.zeros(3), "non-finite input coordinates"),
+    "non-finite-y": (MK, HyperParams((1.0,), 0.5), np.zeros((3, 1)), np.array([0.0, np.nan, 1.0]),
+                     "non-finite responses"),
+    "y-length": (MK, HyperParams((1.0,), 0.5), np.zeros((3, 1)), np.zeros(4),
+                 r"responses of shape \(4, 1\) for 3 inputs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLANS))
+def test_gradient_plan_checks_layout_and_data_when_built(case):
+    kernels, theta, X, y, message = BAD_PLANS[case]
+    with pytest.raises(ValueError, match=message):
+        training.GradientPlan(kernels, theta, X, y)
+    with pytest.raises(ValueError, match=message):
+        full_gradient(theta, kernels, X, y)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("case", ["theta-length", "lengthscale-count"])
+def test_fits_reject_bad_theta0_before_the_first_iteration(monkeypatch, optimizer, case):
+    kernels, theta0, _, _, message = BAD_PLANS[case]
+    ds = simulate_function(levy, 40, Uniform(-1.0, 1.0), 4 if kernels is RBF4 else 1,
+                           noise_sd=1.0, seed=5)
+
+    def no_iterations(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(training, "iteration_rng", no_iterations)
+    config = SGDConfig(m=8, iterations=3, seed=1)
+    with pytest.raises(ValueError, match=message):
+        if optimizer == "sgd":
+            sgd_fit(ds, kernels, config, theta0)
+        else:
+            adam_fit(ds, kernels, config, theta0, learn_lengthscales=True)
+
+
+def test_clamp_lower_bound_must_be_positive():
+    # a non-positive theta_min would let the fit step theta to zero or below
+    for clamp in [(-1.0, 10.0), (0.0, 10.0)]:
+        with pytest.raises(ValueError, match=r"0 < theta_min < theta_max"):
+            SGDConfig(m=8, iterations=1, clamp=clamp)
 
 
 def test_sgd_zero_iterations():
