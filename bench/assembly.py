@@ -10,10 +10,13 @@ normalised, 6000 training and 256 test points, theta=(1, 0.1)) and `n2048`
 Every repetition runs each case once per tree, the trees' order reversed
 on every other repetition, each in a fresh process that imports gpsgd from its tree, warms up on a small
 call and then times one exact `predict` with a timer around each layer that
-`gpsgd.prediction` calls: the training covariance (`marginal_covariance`),
-the cross-covariance (`cross_kernel_matrix`), `cholesky`, and the triangular
-solves (`solve` and/or `forward_solve`, whichever the tree uses). `rest_s`
-is the call's time outside those layers. The output holds per-layer medians
+`gpsgd.prediction` calls: the covariance assembly (`marginal_covariance` for
+K and `cross_kernel_matrix` for k* in older trees; in newer ones both come
+from `CovariancePlan.covariance`, timed as one layer), `cholesky`, and the
+triangular solves (`solve` and/or `forward_solve`, whichever the tree uses).
+A layer is timed when its name, or its class for a method, is in the
+prediction module's namespace. `rest_s` is the call's time outside those
+layers. The output holds per-layer medians
 and the raw samples, plus nproc, the BLAS libraries with their thread counts
 and each tree's git revision. Uses only the standard library, numpy and
 scipy.
@@ -32,7 +35,8 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = ("marginal_covariance", "cross_kernel_matrix", "cholesky", "solve", "forward_solve")
+LAYERS = ("marginal_covariance", "cross_kernel_matrix", "CovariancePlan.covariance", "cholesky",
+          "solve", "forward_solve")
 CASES = ("n6000", "n2048")
 
 
@@ -93,15 +97,19 @@ def child(case: str, seed: int) -> dict:
                 spent[name] += time.perf_counter() - t0
         return wrapper
 
+    present = []
     for name in LAYERS:
-        if hasattr(prediction, name):
-            setattr(prediction, name, timed(name, getattr(prediction, name)))
+        owner, _, attr = name.rpartition(".")   # "function" or "Class.method"
+        holder = getattr(prediction, owner, None) if owner else prediction
+        if holder is not None and hasattr(holder, attr):
+            setattr(holder, attr, timed(name, getattr(holder, attr)))
+            present.append(name)
     g.predict(theta, kernels, X[:300], y[:300], X_test[:8], strategy=g.PredictStrategy.EXACT)
     spent = dict.fromkeys(LAYERS, 0.0)
     t0 = time.perf_counter()
     g.predict(theta, kernels, X, y, X_test, strategy=g.PredictStrategy.EXACT)
     total = time.perf_counter() - t0
-    layers = {f"{name}_s": spent[name] for name in LAYERS if hasattr(prediction, name)}
+    layers = {f"{name}_s": spent[name] for name in present}
     return {
         "total_s": total,
         **layers,

@@ -21,9 +21,12 @@ and, transposed, into the mirrored one. Explicit differences make entry
 equals building every entry; the only n x n array allocated is the result.
 
 A CovariancePlan checks theta's layout and the inputs once, when built, and
-then maps a plain theta vector and a batch's rows to K and its contraction
-(every gradient slot, each RBF kernel's lengthscales in one product);
-`marginal_covariance` and `covariance_and_contraction` are its one-call forms.
+then maps a plain theta vector and row indices to K, its contraction (every
+gradient slot, each RBF kernel's lengthscales in one product) and the
+cross-covariance with a second point set. K and the cross-covariance come
+from one tile routine: the cross-covariance is K's with the second set's
+points as columns, and no unit diagonal or noise. `marginal_covariance` and
+`cross_kernel_matrix` are its one-call forms.
 """
 
 from __future__ import annotations
@@ -316,16 +319,10 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
 
 
 def cross_kernel_matrix(spec: KernelSpec, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Base kernel evaluated between the rows of X (n) and X2 (t): n x t."""
-    X = _check_inputs(spec, X)
-    X2 = _check_inputs(spec, X2)
-    if X.shape[1] != X2.shape[1]:
-        raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
-    order, ls = spec.matern_order, spec.lengthscales
-    Z, Z2 = _scaled_inputs(order, ls, X), _scaled_inputs(order, ls, X2)
-    return _from_tiles(
-        Z.shape[0], Z2.shape[0],
-        lambda r, c: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c]), False), False)
+    """Base kernel evaluated between the rows of X (n) and X2 (t): n x t,
+    the cross-covariance of a plan with unit signal variance."""
+    plan = CovariancePlan(MultiKernel.single(spec), HyperParams((1.0,), 1.0), X, X2)
+    return plan.covariance(np.ones(2), cols=slice(None))
 
 
 def _check_inputs(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -355,20 +352,26 @@ def _check_theta(kernels: MultiKernel, theta: HyperParams) -> None:
 
 
 class CovariancePlan:
-    """K(theta) and its contraction over rows of one input matrix.
+    """K(theta), its contraction and the cross-covariance over rows of one
+    input matrix X and, optionally, a second point set X2.
 
-    Building the plan checks theta's layout against the kernels and the
-    dimension and finiteness of X, once. A call takes theta as a flat vector
-    in HyperParams.to_vector() order, of that layout and positive (neither is
-    checked again), and optionally a batch's row indices; it works on plain
-    arrays and builds no KernelSpec or HyperParams.
+    Building the plan checks theta's layout against the kernels, the
+    dimension and finiteness of X and X2, and that they have the same
+    columns, once. A call takes theta as a flat vector in
+    HyperParams.to_vector() order, of that layout and positive (neither is
+    checked again), and optionally row indices into X (and X2); it works on
+    plain arrays and builds no KernelSpec or HyperParams.
     """
 
-    def __init__(self, kernels: MultiKernel, theta: HyperParams, X: np.ndarray):
+    def __init__(self, kernels: MultiKernel, theta: HyperParams, X: np.ndarray,
+                 X2: np.ndarray | None = None):
         _check_theta(kernels, theta)
-        self.X = _check_inputs(kernels.components[0], X)
-        for spec in kernels.components[1:]:   # an RBF kernel takes one lengthscale per column
-            _check_inputs(spec, self.X)
+        self.X, self.X2 = X, X2
+        for spec in kernels.components:   # an RBF kernel takes one lengthscale per column
+            self.X = _check_inputs(spec, self.X)
+            self.X2 = None if X2 is None else _check_inputs(spec, self.X2)
+        if self.X2 is not None and self.X2.shape[1] != self.X.shape[1]:
+            raise ValueError(f"input dimensions differ: {self.X.shape[1]} vs {self.X2.shape[1]}")
         self.n_kernels, self.learn = kernels.n_kernels, theta.lengthscales is not None
         ends = kernels.n_kernels + 1 + np.cumsum([s.n_lengthscales for s in kernels.components])
         # each component's order, fixed lengthscales and slots in the vector
@@ -385,20 +388,26 @@ class CovariancePlan:
             parts.append((variance, order, ls, _scaled_inputs(order, ls, X)))
         return X, parts
 
-    def covariance(self, theta: np.ndarray, rows=None) -> np.ndarray:
-        """K(theta) over the rows. Each tile sums its components' scaled base
-        tiles in component order and adds the noise on its diagonal, so no
-        n x n array but K is allocated."""
+    def covariance(self, theta: np.ndarray, rows=None, cols=None) -> np.ndarray:
+        """K(theta) over the rows of X or, with `cols` (indices into X2;
+        slice(None) for all), the cross-covariance sum_l theta_l k_l(X[rows],
+        X2[cols]): the same tiles without the unit diagonal and the noise.
+        Each tile sums its components' scaled base tiles in component order,
+        so no n x n array but the result is allocated."""
         X, parts = self._parts(theta, rows)
+        symmetric = cols is None
+        X2 = X if symmetric else self.X2[cols]
+        scaled2 = [Z if symmetric else _scaled_inputs(order, ls, X2) for _, order, ls, Z in parts]
 
         def tile(r: slice, c: slice) -> np.ndarray:
-            block = sum(variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c]), r == c)
-                        for variance, order, ls, Z in parts)
-            if r == c:
+            diagonal = symmetric and r == c
+            block = sum(variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c]), diagonal)
+                        for (variance, order, ls, Z), Z2 in zip(parts, scaled2))
+            if diagonal:
                 block.flat[::block.shape[0] + 1] += theta[self.n_kernels]
             return block
 
-        return _from_tiles(X.shape[0], X.shape[0], tile, True)
+        return _from_tiles(X.shape[0], X2.shape[0], tile, symmetric)
 
     def __call__(self, theta: np.ndarray, rows=None) -> tuple[np.ndarray, Callable]:
         """K(theta) over the rows, and `contract(W)`: <W, dK/dtheta_l> for
@@ -446,13 +455,6 @@ class CovariancePlan:
 def marginal_covariance(kernels: MultiKernel, theta: HyperParams, X: np.ndarray) -> np.ndarray:
     """K(theta) = sum_l theta_l K_l + noise * I over the rows of X."""
     return CovariancePlan(kernels, theta, X).covariance(theta.to_vector())
-
-
-def covariance_and_contraction(
-    kernels: MultiKernel, theta: HyperParams, X: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """K(theta) over the rows of X and its contraction (see CovariancePlan)."""
-    return CovariancePlan(kernels, theta, X)(theta.to_vector())
 
 
 def kernel_matrix_grad(

@@ -4,18 +4,22 @@
     var(x*)  = k(x*, x*) - k(X, x*)^T K^-1 k(X, x*)
 
 with k(., .) = sum_l theta_l k_l(., .) and K the marginal covariance of the
-training responses (noise included). Three strategies: exact Cholesky,
-conjugate gradient for large n, and a nearest-neighbor-truncated variant that
-conditions each test point on its n_neighbors closest training points. The
-exact strategy factors K = L L^T and makes one triangular pass
-W = L^-1 [y | k*], from which the mean is W_k^T w_y and the variance
-k(x*, x*) - colsum(W_k^2). The CG strategy solves K [alpha | V] = [y | k*]
-in blocks of at most CG_BLOCK_WIDTH columns, y in the first (a stopping
-test per column), preconditioned by noise I + L L^T with L a pivoted
-Cholesky factor of the signal part K - noise I, built once and shared by
-every block (see linalg for the rank rule); the mean is k*^T alpha and the
-variance k(x*, x*) - colsum(k* o V), taken block by block so that no
-n x t solution is held.
+training responses (noise included). K and k* = k(X, x*) come from one
+kernels.CovariancePlan over the training and test points, which checks
+theta and both point sets once. Three strategies:
+
+* exact: factor K = L L^T and make one triangular pass W = L^-1 [y | k*];
+  the mean is W_k^T w_y and the variance k(x*, x*) - colsum(W_k^2);
+* CG, for large n: solve K [alpha | V] = [y | k*] in blocks of at most
+  CG_BLOCK_WIDTH columns, y in the first (a stopping test per column),
+  preconditioned by noise I + L L^T with L a pivoted Cholesky factor of the
+  signal part K - noise I, built once and shared by every block (see linalg
+  for the rank rule); the mean is k*^T alpha and the variance
+  k(x*, x*) - colsum(k* o V), taken block by block so that no n x t
+  solution is held;
+* nearest: condition each test point on its n_neighbors closest training
+  points, taking K and k* over those rows from one plan per call and the
+  exact strategy's moments from them.
 
 Products with the n x n covariance and the n x t cross-covariance, and the
 Woodbury products of the preconditioner, go through scipy's BLAS, like the
@@ -31,7 +35,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.blas import dgemv, dsymv
 
-from .kernels import HyperParams, MultiKernel, cross_kernel_matrix, effective_kernels, marginal_covariance
+from .kernels import CovariancePlan, HyperParams, MultiKernel
 from .linalg import cg_solve, cholesky, forward_solve, pivoted_cholesky, woodbury_preconditioner
 from .sampling import SpatialIndex
 
@@ -65,20 +69,17 @@ class PredictionResult:
 
 
 def _as_inputs(X_train, y_train, X_test):
-    """Training and test inputs as float64 matrices, one row per point, and
-    the training responses, which must be finite. A 1-D training array is
-    one-dimensional points; a 1-D test array is too when the training points
-    are, and is one point otherwise."""
+    """The training responses, which must be finite, and the test inputs. A
+    1-D test array is one point when the training points have several
+    dimensions; the covariance plan reads any other 1-D array as
+    one-dimensional points."""
     y_train = np.asarray(y_train, dtype=np.float64)
     if not np.all(np.isfinite(y_train)):
         raise ValueError("y_train has non-finite entries")
-    X_train = np.asarray(X_train, dtype=np.float64)
     X_test = np.asarray(X_test, dtype=np.float64)
-    if X_train.ndim == 1:
-        X_train = X_train[:, None]
-    if X_test.ndim == 1:
-        X_test = X_test[:, None] if X_train.shape[1] == 1 else X_test[None, :]
-    return X_train, y_train, X_test
+    if X_test.ndim == 1 and np.ndim(X_train) == 2 and np.shape(X_train)[1] > 1:
+        X_test = X_test[None, :]
+    return y_train, X_test
 
 
 def predict(
@@ -96,32 +97,35 @@ def predict(
     With no explicit strategy, Cholesky is used below 10^4 training points
     and CG above. Exact and CG agree within a small multiple of cg_tol.
     """
-    X_train, y_train, X_test = _as_inputs(X_train, y_train, X_test)
-    k_star = np.zeros((X_train.shape[0], X_test.shape[0]))
-    for variance, spec in zip(theta.signal_variances, effective_kernels(kernels, theta).components):
-        k_star += variance * cross_kernel_matrix(spec, X_train, X_test)
-    prior_var = float(sum(theta.signal_variances))  # unit-diagonal kernels
-    n = X_train.shape[0]
+    y_train, X_test = _as_inputs(X_train, y_train, X_test)
+    plan = CovariancePlan(kernels, theta, X_train, X_test)
+    n = plan.X.shape[0]
     if strategy is None:
         strategy = PredictStrategy.EXACT if n < EXACT_SIZE_LIMIT else PredictStrategy.CG
-    K = marginal_covariance(kernels, theta, X_train)
-
-    if strategy == PredictStrategy.EXACT:
-        # One forward pass W = L^-1 [y | k*] gives every quadratic form:
-        # k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k.
-        W = forward_solve(cholesky(K), np.column_stack((y_train, k_star)))
-        w_y, W_k = W[:, 0], W[:, 1:]
-        mean = dgemv(1.0, W_k, w_y, trans=1)
-        quad = np.einsum("ij,ij->j", W_k, W_k)
-        cg = {}
-    elif strategy == PredictStrategy.CG:
-        mean, quad, cg = _predict_cg(K, theta.noise_variance, y_train, k_star, cg_tol, cg_max_iter)
-    else:
+    if strategy not in (PredictStrategy.EXACT, PredictStrategy.CG):
         raise ValueError("use predict_nn for nearest-neighbor prediction")
+    vec = theta.to_vector()
+    k_star = plan.covariance(vec, cols=slice(None))
+    K = plan.covariance(vec)
+    if strategy == PredictStrategy.EXACT:
+        mean, quad = _exact_moments(K, y_train, k_star)
+        cg = {}
+    else:
+        mean, quad, cg = _predict_cg(K, theta.noise_variance, y_train, k_star, cg_tol, cg_max_iter)
+    return PredictionResult(mean=mean, variance=_variance(theta, quad), strategy=strategy, **cg)
 
-    # quad is k*^T K^-1 k* per test point.
-    variance = np.maximum(prior_var - quad, 0.0)
-    return PredictionResult(mean=mean, variance=variance, strategy=strategy, **cg)
+
+def _exact_moments(K, y, k_star):
+    """Mean and k*^T K^-1 k* per test point from one forward pass
+    W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k."""
+    W = forward_solve(cholesky(K), np.column_stack((y, k_star)))
+    w_y, W_k = W[:, 0], W[:, 1:]
+    return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
+
+
+def _variance(theta: HyperParams, quad: np.ndarray) -> np.ndarray:
+    """k(x*, x*) - k*^T K^-1 k* for unit-diagonal kernels, floored at 0."""
+    return np.maximum(float(sum(theta.signal_variances)) - quad, 0.0)
 
 
 def _predict_cg(K, noise, y, k_star, tol, max_iter):
@@ -141,7 +145,10 @@ def _predict_cg(K, noise, y, k_star, tol, max_iter):
         block = k_star[:, lo:hi]
         rhs = block if start >= 0 else np.column_stack((y, block))
         res = cg_solve(product, rhs, tol=tol, max_iter=max_iter, precondition=precondition)
-        _require_converged(res)
+        if not res.converged.all():
+            j = int(np.argmax(res.residual))
+            raise CGConvergenceError(f"CG stopped after {res.iterations[j]} iterations at "
+                                     f"relative residual {res.residual[j]:.3e}")
         V = res.x
         if start < 0:
             alpha, V = V[:, 0], V[:, 1:]
@@ -172,15 +179,6 @@ def _covariance_product(K: np.ndarray):
     return product
 
 
-def _require_converged(result) -> None:
-    if not result.converged.all():
-        j = int(np.argmax(result.residual))
-        raise CGConvergenceError(
-            f"CG stopped after {result.iterations[j]} iterations at relative "
-            f"residual {result.residual[j]:.3e}"
-        )
-
-
 def predict_nn(
     theta: HyperParams,
     kernels: MultiKernel,
@@ -191,25 +189,23 @@ def predict_nn(
     index: SpatialIndex,
 ) -> PredictionResult:
     """Prediction conditioning each test point on only its n_neighbors
-    nearest training points: one batched neighbor query for all test
-    points, then an exact prediction per point."""
-    X_train, y_train, X_test = _as_inputs(X_train, y_train, X_test)
-    n = X_train.shape[0]
+    nearest training points: one covariance plan and one batched neighbor
+    query for all test points, then per point the exact moments from K and
+    k* over its neighbors."""
+    y_train, X_test = _as_inputs(X_train, y_train, X_test)
+    plan = CovariancePlan(kernels, theta, X_train, X_test)
+    n = plan.X.shape[0]
     if not 1 <= n_neighbors <= n:
         raise ValueError(f"n_neighbors must be in [1, {n}], got {n_neighbors}")
     if index.n != n:
         raise ValueError(f"index covers {index.n} points, expected {n}")
-
-    mean = np.empty(X_test.shape[0])
-    variance = np.empty(X_test.shape[0])
-    for t, neighbors in enumerate(index.query_many(X_test, n_neighbors)):
-        local = predict(
-            theta, kernels, X_train[neighbors], y_train[neighbors], X_test[t:t + 1],
-            strategy=PredictStrategy.EXACT,
-        )
-        mean[t] = local.mean[0]
-        variance[t] = local.variance[0]
-    return PredictionResult(mean=mean, variance=variance, strategy=PredictStrategy.NEAREST)
+    vec = theta.to_vector()
+    mean, quad = np.empty((2, plan.X2.shape[0]))
+    for t, rows in enumerate(index.query_many(plan.X2, n_neighbors)):
+        K, k_star = plan.covariance(vec, rows), plan.covariance(vec, rows, slice(t, t + 1))
+        mean[t:t + 1], quad[t:t + 1] = _exact_moments(K, y_train[rows], k_star)
+    return PredictionResult(mean=mean, variance=_variance(theta, quad),
+                            strategy=PredictStrategy.NEAREST)
 
 
 def rmse(predicted: np.ndarray, truth: np.ndarray) -> float:

@@ -448,19 +448,18 @@ def adam_fit(
         theta0 = HyperParams(theta0.signal_variances, theta0.noise_variance,
                              kernels.flat_lengthscales())
     n_active = theta0.n_params if learn_lengthscales else kernels.n_kernels + 1
-    active = np.arange(theta0.n_params) < n_active
     m_state = np.zeros(theta0.n_params)
     v_state = np.zeros(theta0.n_params)
 
     def step(k: int, grad: np.ndarray):
         nonlocal m_state, v_state
-        grad = np.where(active, grad, 0.0)
+        grad[n_active:] = 0.0   # so an inactive slot's moments, and its update, stay 0
         m_state = ADAM_BETA1 * m_state + (1.0 - ADAM_BETA1) * grad
         v_state = ADAM_BETA2 * v_state + (1.0 - ADAM_BETA2) * grad**2
         m_hat = m_state / (1.0 - ADAM_BETA1**k)
         v_hat = v_state / (1.0 - ADAM_BETA2**k)
         update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        return np.where(active, update, 0.0), config.learning_rate, grad
+        return update, config.learning_rate, grad
 
     loop = _FitLoop(dataset, kernels, config, theta0)
     return loop.run(step, floor=DEFAULT_CLAMP_BOUNDS[0])

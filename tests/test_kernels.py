@@ -18,9 +18,9 @@ from gpsgd import (
     sym_eigenvalues,
 )
 from gpsgd.kernels import (
+    CovariancePlan,
     KernelFamily,
     base_lengthscale_grad,
-    covariance_and_contraction,
     cross_kernel_matrix,
     effective_kernels,
 )
@@ -240,7 +240,7 @@ def test_tiled_assembly_bit_identical_to_row_blocks(case, n):
     K = marginal_covariance(kernels, theta, X)
     assert np.array_equal(K, _row_block_covariance(kernels, theta, X))
     assert np.array_equal(K, K.T)
-    assert np.array_equal(covariance_and_contraction(kernels, theta, X)[0], K)
+    assert np.array_equal(CovariancePlan(kernels, theta, X)(theta.to_vector())[0], K)
     for spec in effective_kernels(kernels, theta).components:
         base = kernel_matrix(spec, X)
         assert np.array_equal(base, _row_block_base(spec, X))
@@ -273,7 +273,7 @@ def test_contraction_matches_derivative_matrices(case, n):
         X = rng.normal(size=(n, dim)) * 3
     W = rng.normal(size=(n, n))
     W += W.T
-    got = covariance_and_contraction(kernels, theta, X)[1](W)
+    got = CovariancePlan(kernels, theta, X)(theta.to_vector())[1](W)
     want = [np.einsum("ab,ab->", W, kernel_matrix_grad(kernels, theta, X, l))
             for l in range(theta.n_params)]
     np.testing.assert_allclose(got, want, rtol=1e-12)

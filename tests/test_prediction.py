@@ -183,6 +183,49 @@ def test_predict_nn_full_set_equals_exact():
     assert np.max(np.abs(nn.variance - exact.variance)) < 1e-10
 
 
+def test_predict_nn_is_exact_predict_on_each_neighbourhood():
+    theta = HyperParams((4.0,), 1.0)
+    ds = simulate_gp(MK, theta, 300, Gaussian(5.0), 1, seed=23)
+    X_test = component_rng(24, "nn-local").normal(0, 5.0, size=(12, 1))
+    index = build_index(ds.X)
+    nn = predict_nn(theta, MK, ds.X, ds.y, X_test, 40, index)
+    for t, rows in enumerate(index.query_many(X_test, 40)):
+        local = predict(theta, MK, ds.X[rows], ds.y[rows], X_test[t:t + 1],
+                        strategy=PredictStrategy.EXACT)
+        assert local.mean[0] == nn.mean[t] and local.variance[0] == nn.variance[t]
+
+
+def _predict_with(strategy, theta, kernels, X, y, X_test):
+    if strategy is None:
+        return predict_nn(theta, kernels, X, y, X_test, 5, build_index(X))
+    return predict(theta, kernels, X, y, X_test, strategy=strategy)
+
+
+@pytest.mark.parametrize("strategy", [PredictStrategy.EXACT, PredictStrategy.CG, None])
+def test_matern_rejects_test_points_of_another_dimension(strategy):
+    # An RBF kernel catches this through its lengthscale count; a Matern
+    # kernel has one scale whatever the dimension.
+    kernels = MultiKernel.single(KernelSpec.matern(1.5, 1.0))
+    X, y = _training_fixture()
+    with pytest.raises(ValueError, match="input dimensions differ"):
+        _predict_with(strategy, HyperParams((2.0,), 0.5), kernels, X, y, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("strategy", [PredictStrategy.EXACT, PredictStrategy.CG, None])
+def test_learned_lengthscales_match_rebuilt_kernel_specs(strategy):
+    kernels = MultiKernel((KernelSpec.rbf((1.0, 1.0)), KernelSpec.matern(1.5, 1.0)))
+    learned = HyperParams((2.0, 0.7), 0.3, (0.6, 1.4, 0.9))
+    rebuilt = MultiKernel((KernelSpec.rbf((0.6, 1.4)), KernelSpec.matern(1.5, 0.9)))
+    rng = component_rng(25, "learned-lengthscales")
+    X = rng.normal(0, 2.0, size=(150, 2))   # more than one tile of rows
+    y = rng.normal(size=150)
+    X_test = rng.normal(0, 2.0, size=(40, 2))
+    got = _predict_with(strategy, learned, kernels, X, y, X_test)
+    want = _predict_with(strategy, HyperParams((2.0, 0.7), 0.3), rebuilt, X, y, X_test)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.variance, want.variance)
+
+
 def test_predict_nn_single_neighbor_closed_form():
     theta = HyperParams((4.0,), 1.0)
     X = np.array([[0.0], [10.0]])
