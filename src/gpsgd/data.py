@@ -213,13 +213,10 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Normaliz
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write `x1,...,xD,y` rows with shortest round-trip float formatting."""
-    path = Path(path)
-    header = [f"x{j + 1}" for j in range(dataset.input_dim)] + ["y"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            writer.writerow([repr(float(v)) for v in dataset.X[i]] + [repr(float(dataset.y[i]))])
+    header = ",".join([f"x{j + 1}" for j in range(dataset.input_dim)] + ["y"])
+    rows = (",".join(map(repr, x + [v])) for x, v in zip(dataset.X.tolist(), dataset.y.tolist()))
+    with Path(path).open("w", newline="") as fh:   # CRLF rows, as csv.writer wrote them
+        fh.write("\r\n".join([header, *rows]) + "\r\n")
 
 
 def load_csv(path: str | Path) -> Dataset:

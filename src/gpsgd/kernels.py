@@ -20,6 +20,12 @@ and, transposed, into the mirrored one. Explicit differences make entry
 (a, b) equal (b, a) bit for bit, so the mirror is exact and the result
 equals building every entry; the only n x n array allocated is the result.
 
+A large matrix (at least _PARALLEL_MIN differences, n * t * D) is built on
+every CPU the process may use: its tile rows are dealt out, interleaved, to
+a thread pool made for the call. Each tile's arithmetic does not depend on
+which thread runs it, and tiles write to disjoint places, so the CPU count
+never changes a bit of the result.
+
 A CovariancePlan checks theta's layout and the inputs once, when built, and
 then maps a plain theta vector and row indices to K, its contraction (every
 gradient slot, each RBF kernel's lengthscales in one product) and the
@@ -32,9 +38,13 @@ points as columns, and no unit diagonal or noise. `marginal_covariance` and
 from __future__ import annotations
 
 import math
+import operator
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -245,39 +255,72 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
 
 
 _TILE = 128
+# Threads pay only on large difference volumes: below this many entries
+# (n * t * D) a matrix is built on the calling thread.
+_PARALLEL_MIN = 2 ** 24
 
 
-def _tile_sq(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
+def _tile_sq(Z: np.ndarray, Z2: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """sum_j (z_aj - z2_bj)^2 for one tile, from explicit differences.
 
     z_a - z_b and z_b - z_a are exact negatives, so their squares and sums
     agree bit for bit: the tile for (rows, cols) is the exact transpose of
     the tile for (cols, rows). This is what makes mirroring a tile exact.
+    With `buf`, a (rows, cols, D) array, the differences are written into it
+    one dimension at a time: the same values in the same layout, faster
+    than the broadcast on a full tile.
     """
-    diff = Z[:, None, :] - Z2[None, :, :]
+    if buf is None:
+        diff = Z[:, None, :] - Z2[None, :, :]
+    else:
+        diff = buf
+        for j in range(Z.shape[1]):
+            np.subtract(Z[:, j, None], Z2[None, :, j], out=diff[:, :, j])
     return np.einsum("abj,abj->ab", diff, diff)
 
 
-def _from_tiles(n: int, t: int, tile, symmetric: bool) -> np.ndarray:
-    """An n x t matrix from `tile(rows, cols)` on _TILE x _TILE blocks.
+def _workers(tile_rows: int) -> int:
+    """Threads for a matrix of `tile_rows` tile rows: one per usable CPU."""
+    return min(len(os.sched_getaffinity(0)), tile_rows)
+
+
+def _from_tiles(n: int, t: int, dim: int, tile, symmetric: bool) -> np.ndarray:
+    """An n x t matrix from `tile(rows, cols, buf)` on _TILE x _TILE blocks
+    of D = `dim` columns.
 
     With `symmetric` (n == t) only the upper tiles are built, and each one
     off the diagonal is also written, transposed, into its mirrored place.
-    Each tile bounds the (_TILE, _TILE, D) difference array; the only n x t
-    array is the result. A matrix of one tile (every fit batch up to 128
-    points) is that tile, returned without a copy.
+    A full tile gets a (_TILE, _TILE, D) difference buffer `buf`, one per
+    thread; a ragged one gets None. The only n x t array is the result. A
+    matrix of one tile (every fit batch up to 128 points) is that tile,
+    built with buf=None and returned without a copy. With at least
+    _PARALLEL_MIN differences, tile rows i, i + w, i + 2w, ... go to the
+    i-th of w threads, so the shrinking rows of a symmetric matrix balance.
     """
     if n <= _TILE and t <= _TILE:
-        return tile(slice(0, n), slice(0, t))
+        return tile(slice(0, n), slice(0, t), None)
     out = np.empty((n, t))
-    for i in range(0, n, _TILE):
-        rows = slice(i, min(i + _TILE, n))
-        for j in range(i if symmetric else 0, t, _TILE):
-            cols = slice(j, min(j + _TILE, t))
-            block = tile(rows, cols)
-            out[rows, cols] = block
-            if symmetric and j != i:
-                out[cols, rows] = block.T
+    starts = range(0, n, _TILE)
+
+    def build(tile_rows) -> None:
+        buf = np.empty((_TILE, _TILE, dim))
+        for i in tile_rows:
+            rows = slice(i, min(i + _TILE, n))
+            for j in range(i if symmetric else 0, t, _TILE):
+                cols = slice(j, min(j + _TILE, t))
+                full = rows.stop - i == _TILE and cols.stop - j == _TILE
+                block = tile(rows, cols, buf if full else None)
+                out[rows, cols] = block
+                if symmetric and j != i:
+                    out[cols, rows] = block.T
+
+    workers = _workers(len(starts)) if n * t * dim >= _PARALLEL_MIN else 1
+    if workers == 1:
+        build(starts)
+    else:
+        # A pool per call: no thread outlives it into a forked child.
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(build, [starts[w::workers] for w in range(workers)]))
     return out
 
 
@@ -292,7 +335,8 @@ def _scaled_inputs(order: float | None, ls, X: np.ndarray) -> np.ndarray:
 
 def _sq_dists(Z: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between the rows of Z."""
-    return _from_tiles(Z.shape[0], Z.shape[0], lambda r, c: _tile_sq(Z[r], Z[c]), True)
+    return _from_tiles(Z.shape[0], Z.shape[0], Z.shape[1],
+                       lambda r, c, buf: _tile_sq(Z[r], Z[c], buf), True)
 
 
 def _kernel_from_sq(order: float | None, ls, sq: np.ndarray, diagonal: bool) -> np.ndarray:
@@ -307,8 +351,8 @@ def _kernel_from_sq(order: float | None, ls, sq: np.ndarray, diagonal: bool) -> 
 def _base_matrix(order: float | None, ls, Z: np.ndarray) -> np.ndarray:
     """The base kernel matrix over the rows of the scaled inputs Z."""
     return _from_tiles(
-        Z.shape[0], Z.shape[0],
-        lambda r, c: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c]), r == c), True)
+        Z.shape[0], Z.shape[0], Z.shape[1],
+        lambda r, c, buf: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c], buf), r == c), True)
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -399,15 +443,17 @@ class CovariancePlan:
         X2 = X if symmetric else self.X2[cols]
         scaled2 = [Z if symmetric else _scaled_inputs(order, ls, X2) for _, order, ls, Z in parts]
 
-        def tile(r: slice, c: slice) -> np.ndarray:
+        def tile(r: slice, c: slice, buf) -> np.ndarray:
             diagonal = symmetric and r == c
-            block = sum(variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c]), diagonal)
-                        for (variance, order, ls, Z), Z2 in zip(parts, scaled2))
+            # summed in place from the first term, not from 0
+            block = reduce(operator.iadd, (
+                variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c], buf), diagonal)
+                for (variance, order, ls, Z), Z2 in zip(parts, scaled2)))
             if diagonal:
                 block.flat[::block.shape[0] + 1] += theta[self.n_kernels]
             return block
 
-        return _from_tiles(X.shape[0], X2.shape[0], tile, symmetric)
+        return _from_tiles(X.shape[0], X2.shape[0], X.shape[1], tile, symmetric)
 
     def __call__(self, theta: np.ndarray, rows=None) -> tuple[np.ndarray, Callable]:
         """K(theta) over the rows, and `contract(W)`: <W, dK/dtheta_l> for
@@ -432,7 +478,7 @@ class CovariancePlan:
             bases.append(_base_matrix(order, ls, Z) if sq is None
                          else _kernel_from_sq(order, ls, sq, True))
             dists.append(sq)
-        K = sum(part[0] * base for part, base in zip(parts, bases))
+        K = reduce(operator.iadd, (part[0] * base for part, base in zip(parts, bases)))
         K.flat[::K.shape[0] + 1] += theta[self.n_kernels]
 
         def contract(W: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Kernel evaluation, matrix assembly, and hyperparameter derivative tests."""
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from gpsgd import (
     KernelSpec,
     MultiKernel,
     eval_kernel,
+    full_gradient,
     kernel_matrix,
     kernel_matrix_grad,
     marginal_covariance,
     sym_eigenvalues,
 )
+from gpsgd import kernels as kernels_module
 from gpsgd.kernels import (
     CovariancePlan,
     KernelFamily,
@@ -283,6 +288,99 @@ def test_contraction_matches_derivative_matrices(case, n):
     for c, spec in enumerate(components):
         assert got[c] == np.einsum("ab,ab->", W, kernel_matrix(spec, X))
     assert got[len(components)] == np.trace(W)
+
+
+# The parallel assembly. Patching the size gate down and the worker count sends
+# small matrices through the thread pool; ragged last tile rows are included.
+PARALLEL_KERNELS = MultiKernel((KernelSpec.rbf((0.5, 1.0, 2.0)), KernelSpec.matern(1.5, 1.3)))
+PARALLEL_THETA = HyperParams((1.3, 0.7), 0.1, (0.5, 1.0, 2.0, 1.3))
+
+
+def _large_builds(X, X2, y):
+    """Every build that goes through the tiles: K, k*, each base matrix,
+    the Matern distances and the full gradient."""
+    v = PARALLEL_THETA.to_vector()
+    builds = {
+        "K": CovariancePlan(PARALLEL_KERNELS, PARALLEL_THETA, X).covariance(v),
+        "k*": CovariancePlan(PARALLEL_KERNELS, PARALLEL_THETA, X, X2).covariance(
+            v, cols=slice(None)),
+        "sq_dists": kernels_module._sq_dists(X),
+        "full_gradient": full_gradient(PARALLEL_THETA, PARALLEL_KERNELS, X, y),
+    }
+    for c, spec in enumerate(effective_kernels(PARALLEL_KERNELS, PARALLEL_THETA).components):
+        builds[f"kernel_matrix {c}"] = kernel_matrix(spec, X)
+    return builds
+
+
+def _force_threads(monkeypatch, workers, pools=None):
+    monkeypatch.setattr(kernels_module, "_PARALLEL_MIN", 1)
+    monkeypatch.setattr(kernels_module, "_workers", lambda tile_rows: min(workers, tile_rows))
+    if pools is not None:
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+        monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", CountingPool)
+
+
+@pytest.mark.parametrize("n", [129, 300, 1100])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_assembly_bit_identical_to_serial(monkeypatch, workers, n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 3)) * 3
+    X2 = rng.normal(size=(n // 2 + 131, 3)) * 3   # t != n, a ragged last tile column
+    y = rng.normal(size=n)
+    serial = _large_builds(X, X2, y)
+    pools = []
+    _force_threads(monkeypatch, workers, pools)
+    parallel = _large_builds(X, X2, y)
+    assert bool(pools) == (workers > 1)
+    assert all(p == min(workers, -(-n // kernels_module._TILE)) for p in pools)
+    for name, want in serial.items():
+        assert np.array_equal(parallel[name], want), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
+def test_per_dimension_fill_equals_broadcast_difference(dim):
+    rng = np.random.default_rng(dim)
+    Z = rng.normal(size=(kernels_module._TILE, dim)) * 3
+    Z2 = rng.normal(size=(kernels_module._TILE, dim)) * 3
+    buf = np.full((kernels_module._TILE, kernels_module._TILE, dim), np.nan)
+    sq = kernels_module._tile_sq(Z, Z2, buf)
+    assert np.array_equal(buf, Z[:, None, :] - Z2[None, :, :])
+    assert np.array_equal(sq, kernels_module._tile_sq(Z, Z2))
+
+
+def test_workers_follow_the_cpu_affinity():
+    cpus = len(os.sched_getaffinity(0))
+    assert kernels_module._workers(1) == 1
+    assert kernels_module._workers(10_000) == cpus
+
+
+def _send_kernel_matrix(conn, spec, X):
+    conn.send(kernel_matrix(spec, X))
+    conn.close()
+
+
+def test_parallel_assembly_in_a_forked_child(monkeypatch):
+    # A pool kept across calls would have no threads in a forked child (as
+    # in `experiment --jobs`), and the child's build would hang.
+    _force_threads(monkeypatch, 2)
+    spec = KernelSpec.rbf((0.5, 1.0))
+    X = np.random.default_rng(5).normal(size=(300, 2))
+    K = kernel_matrix(spec, X)
+    receive, send = multiprocessing.get_context("fork").Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=_send_kernel_matrix, args=(send, spec, X))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's build did not finish within 60 s"
+        assert np.array_equal(receive.recv(), K)
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
 
 
 def test_marginal_covariance_dimension_mismatch():
