@@ -57,7 +57,7 @@ from .kernels import (
 )
 from .linalg import EIG_SIZE_CAP, sym_eigenvalues
 from .prediction import PredictStrategy, predict, predict_nn, rmse
-from .sampling import SamplingScheme, build_index
+from .sampling import SamplingScheme, SpatialIndex
 from .seeds import derived_seed
 from .training import (
     DEFAULT_CLAMP_BOUNDS,
@@ -519,12 +519,11 @@ def _write_trace(path: Path, trace) -> None:
     """One row per iteration of a FitTrace, with no wall-clock column; the
     grad_norm_sq column is there when some norm was recorded, empty in the
     other rows."""
-    has_norms = bool(trace.grad_norm_recorded.any())
-    columns = zip(trace.step_size.tolist(), trace.theta.tolist(), trace.grad_norm_sq.tolist(),
-                  trace.grad_norm_recorded.tolist())
+    has_norms = not np.isnan(trace.grad_norm_sq).all()
+    columns = zip(trace.step_size.tolist(), trace.theta.tolist(), trace.grad_norm_sq.tolist())
     _write_table(path, ["iter", "alpha", *trace.param_names] + ["grad_norm_sq"] * has_norms,
-                 ([k, step, *theta] + [norm if recorded else None] * has_norms
-                  for k, (step, theta, norm, recorded) in enumerate(columns)))
+                 ([k, step, *theta] + [None if math.isnan(norm) else norm] * has_norms
+                  for k, (step, theta, norm) in enumerate(columns)))
 
 
 def _write_summary(out: Path, command: str, cfg: dict, started: float, extra: dict) -> None:
@@ -593,7 +592,7 @@ def cmd_predict(c: dict, out: Path) -> dict:
     if c["strategy"] == "nearest":
         _check_batch_sizes("n_neighbors", c["n_neighbors"], train.n)
         result = predict_nn(theta, kernels, train.X, train.y, test.X,
-                            c["n_neighbors"], build_index(train.X))
+                            c["n_neighbors"], SpatialIndex(train.X))
     else:
         chosen = None if c["strategy"] == "auto" else PredictStrategy(c["strategy"])
         result = predict(theta, kernels, train.X, train.y, test.X, strategy=chosen,
@@ -688,7 +687,7 @@ def _fit_rep(c: dict, task: tuple) -> tuple:
     fit_seed = derived_seed(c["seed"], f"{c['study']}:{tag}", rep)
     run_cfg = _sgd_config(c, fit_seed, m=m, alpha1=alpha1, grad_norm_every=every)
     trace = sgd_fit(dataset, c["kernels"], run_cfg, theta0)
-    iters = np.flatnonzero(trace.grad_norm_recorded)
+    iters = np.flatnonzero(~np.isnan(trace.grad_norm_sq))
     return (trace.theta, iters, trace.grad_norm_sq[iters],
             trace.clamp_events, trace.clip_events)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernels import HyperParams, KernelSpec, MultiKernel, kernel_matrix, kernel_matrix_grad, marginal_covariance
 from .linalg import cholesky, sym_eigenvalues, two_sided_solve
-from .sampling import SamplingScheme, build_index, draw_batches
+from .sampling import SamplingScheme, SpatialIndex, draw_batches
 from .seeds import component_rng
 from .training import GradientPlan, ScalingPolicy
 
@@ -254,7 +254,7 @@ def curvature_experiment(
         raise ValueError("replicates must be at least 1")
     pool_rng = component_rng(seed, "curvature-pool")
     X = input_dist.sample(pool_rng, pool_size, input_dim)
-    index = build_index(X)
+    index = SpatialIndex(X)
     reports = []
     for m in m_grid:
         for scheme in (SamplingScheme.UNIFORM, SamplingScheme.NEARBY):

@@ -15,7 +15,7 @@ Matrices are assembled in tiles of _TILE = 128 rows and columns
 (cross-covariances too). A symmetric matrix builds only its upper tiles:
 each takes the explicit differences of its rows and columns, applies the
 kernel profile, scales and sums the components in order (a diagonal tile
-also gets the unit diagonal and the noise), and is written into its place
+also gets the noise), and is written into its place
 and, transposed, into the mirrored one. Explicit differences make entry
 (a, b) equal (b, a) bit for bit, so the mirror is exact and the result
 equals building every entry; the only n x n array allocated is the result.
@@ -31,7 +31,7 @@ then maps a plain theta vector and row indices to K, its contraction (every
 gradient slot, each RBF kernel's lengthscales in one product) and the
 cross-covariance with a second point set. K and the cross-covariance come
 from one tile routine: the cross-covariance is K's with the second set's
-points as columns, and no unit diagonal or noise. `marginal_covariance` and
+points as columns, and no noise. `marginal_covariance` and
 `cross_kernel_matrix` are its one-call forms.
 """
 
@@ -339,20 +339,17 @@ def _sq_dists(Z: np.ndarray) -> np.ndarray:
                        lambda r, c, buf: _tile_sq(Z[r], Z[c], buf), True)
 
 
-def _kernel_from_sq(order: float | None, ls, sq: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Base kernel values from scaled squared distances; `diagonal` marks a
-    block whose diagonal pairs a point with itself (set exactly to 1)."""
-    K = np.exp(-0.5 * sq) if order is None else _matern_profile(np.sqrt(sq), order, float(ls[0]))
-    if diagonal:
-        np.fill_diagonal(K, 1.0)
-    return K
+def _kernel_from_sq(order: float | None, ls, sq: np.ndarray) -> np.ndarray:
+    """Base kernel values from scaled squared distances. A point's distance
+    to itself is exactly 0.0, so its value is exactly 1.0."""
+    return np.exp(-0.5 * sq) if order is None else _matern_profile(np.sqrt(sq), order, float(ls[0]))
 
 
 def _base_matrix(order: float | None, ls, Z: np.ndarray) -> np.ndarray:
     """The base kernel matrix over the rows of the scaled inputs Z."""
     return _from_tiles(
         Z.shape[0], Z.shape[0], Z.shape[1],
-        lambda r, c, buf: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c], buf), r == c), True)
+        lambda r, c, buf: _kernel_from_sq(order, ls, _tile_sq(Z[r], Z[c], buf)), True)
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -435,7 +432,7 @@ class CovariancePlan:
     def covariance(self, theta: np.ndarray, rows=None, cols=None) -> np.ndarray:
         """K(theta) over the rows of X or, with `cols` (indices into X2;
         slice(None) for all), the cross-covariance sum_l theta_l k_l(X[rows],
-        X2[cols]): the same tiles without the unit diagonal and the noise.
+        X2[cols]): the same tiles without the noise.
         Each tile sums its components' scaled base tiles in component order,
         so no n x n array but the result is allocated."""
         X, parts = self._parts(theta, rows)
@@ -447,7 +444,7 @@ class CovariancePlan:
             diagonal = symmetric and r == c
             # summed in place from the first term, not from 0
             block = reduce(operator.iadd, (
-                variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c], buf), diagonal)
+                variance * _kernel_from_sq(order, ls, _tile_sq(Z[r], Z2[c], buf))
                 for (variance, order, ls, Z), Z2 in zip(parts, scaled2)))
             if diagonal:
                 block.flat[::block.shape[0] + 1] += theta[self.n_kernels]
@@ -476,7 +473,7 @@ class CovariancePlan:
             # Only the Matern d/dh needs the distances again; RBF reuses B_c.
             sq = _sq_dists(Z) if self.learn and order is not None else None
             bases.append(_base_matrix(order, ls, Z) if sq is None
-                         else _kernel_from_sq(order, ls, sq, True))
+                         else _kernel_from_sq(order, ls, sq))
             dists.append(sq)
         K = reduce(operator.iadd, (part[0] * base for part, base in zip(parts, bases)))
         K.flat[::K.shape[0] + 1] += theta[self.n_kernels]

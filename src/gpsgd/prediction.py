@@ -36,7 +36,8 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsymv
 
 from .kernels import CovariancePlan, HyperParams, MultiKernel
-from .linalg import cg_solve, cholesky, forward_solve, pivoted_cholesky, woodbury_preconditioner
+from .linalg import (CGBreakdownError, NotPositiveDefiniteError, cg_solve, cholesky,
+                     forward_solve, pivoted_cholesky, woodbury_preconditioner)
 from .sampling import SpatialIndex
 
 EXACT_SIZE_LIMIT = 10_000
@@ -107,12 +108,21 @@ def predict(
     vec = theta.to_vector()
     k_star = plan.covariance(vec, cols=slice(None))
     K = plan.covariance(vec)
-    if strategy == PredictStrategy.EXACT:
-        mean, quad = _exact_moments(K, y_train, k_star)
-        cg = {}
-    else:
-        mean, quad, cg = _predict_cg(K, theta.noise_variance, y_train, k_star, cg_tol, cg_max_iter)
+    try:
+        if strategy == PredictStrategy.EXACT:
+            mean, quad = _exact_moments(K, y_train, k_star)
+            cg = {}
+        else:
+            mean, quad, cg = _predict_cg(K, theta.noise_variance, y_train, k_star, cg_tol, cg_max_iter)
+    except (NotPositiveDefiniteError, CGConvergenceError, CGBreakdownError) as exc:
+        raise _naming_theta(exc, strategy, vec) from exc
     return PredictionResult(mean=mean, variance=_variance(theta, quad), strategy=strategy, **cg)
+
+
+def _naming_theta(exc: Exception, strategy: PredictStrategy, vec: np.ndarray, point=None):
+    """`exc` as its own type, its message led by the strategy, theta and any test point."""
+    at = "" if point is None else f", test point {point}"
+    return type(exc)(f"{strategy.value} prediction at theta {vec.tolist()}{at}: {exc}")
 
 
 def _exact_moments(K, y, k_star):
@@ -203,7 +213,10 @@ def predict_nn(
     mean, quad = np.empty((2, plan.X2.shape[0]))
     for t, rows in enumerate(index.query_many(plan.X2, n_neighbors)):
         K, k_star = plan.covariance(vec, rows), plan.covariance(vec, rows, slice(t, t + 1))
-        mean[t:t + 1], quad[t:t + 1] = _exact_moments(K, y_train[rows], k_star)
+        try:
+            mean[t:t + 1], quad[t:t + 1] = _exact_moments(K, y_train[rows], k_star)
+        except NotPositiveDefiniteError as exc:
+            raise _naming_theta(exc, PredictStrategy.NEAREST, vec, t) from exc
     return PredictionResult(mean=mean, variance=_variance(theta, quad),
                             strategy=PredictStrategy.NEAREST)
 

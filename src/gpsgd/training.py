@@ -10,15 +10,17 @@ submatrix indexed by the batch, dividing slot l by 2*s_l(m) instead of 2n.
 With s_l(m) = m for every slot and the batch equal to the full index set it
 reduces to the full gradient exactly.
 
-Two optimizers run through one loop: plain SGD with diminishing step sizes
-alpha_k = alpha_1 / k, and Adam with a constant learning rate for joint
-variance + lengthscale estimation.
+Two optimizers run through one loop function: plain SGD with diminishing
+step sizes alpha_k = alpha_1 / k, and Adam with a constant learning rate for
+joint variance + lengthscale estimation. They differ only in the step they
+pass it and in the lower bound they keep theta above.
 
 Every gradient goes through a GradientPlan. A fit builds one before its
 first iteration, which checks theta0's layout against the kernels and the
 finiteness of X and y once; each iteration then maps the plain theta vector
-and the batch's rows to the gradient. `stochastic_gradient` and
-`full_gradient` are the plan's one-call forms, so a fit replays bit for bit.
+and the batch's rows (or, for the `grad_norm_every` norms, all rows) to the
+gradient. `stochastic_gradient` and `full_gradient` are the plan's one-call
+forms, so a fit replays bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import CovariancePlan, HyperParams, MultiKernel, marginal_covariance, param_names
 from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
-from .sampling import Minibatch, SamplingScheme, SpatialIndex, build_index, draw_batches
+from .sampling import Minibatch, SamplingScheme, SpatialIndex, draw_batches
 from .seeds import iteration_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -165,7 +167,7 @@ class _Records(Sequence):
             theta=t.theta[k],
             step_size=float(t.step_size[k]),
             gradient=None if k == 0 else t.gradient[k],
-            grad_norm_sq=float(t.grad_norm_sq[k]) if t.grad_norm_recorded[k] else None,
+            grad_norm_sq=None if math.isnan(t.grad_norm_sq[k]) else float(t.grad_norm_sq[k]),
             elapsed=float(t.elapsed[k]),
         )
 
@@ -174,17 +176,16 @@ class _Records(Sequence):
 class FitTrace:
     """Per-iteration optimizer history, including the starting point.
 
-    Row k of each array is iteration k. Row 0 of `gradient` is NaN (no
-    gradient is taken at the start); `grad_norm_sq` is meaningful only
-    where `grad_norm_recorded` is set; `elapsed` is seconds since the fit
-    started.
+    Row k of each array is iteration k. NaN marks a value that was not
+    taken: row 0 of `gradient` (no gradient is taken at the start) and
+    `grad_norm_sq` at every iteration `grad_norm_every` skips. `elapsed` is
+    seconds since the fit started.
     """
 
     theta: np.ndarray               # (iterations + 1, params)
     gradient: np.ndarray            # (iterations + 1, params)
     step_size: np.ndarray           # (iterations + 1,)
     grad_norm_sq: np.ndarray        # (iterations + 1,)
-    grad_norm_recorded: np.ndarray  # (iterations + 1,) bool
     elapsed: np.ndarray             # (iterations + 1,)
     param_names: list[str]
     n_kernels: int
@@ -294,122 +295,75 @@ def _batch_stream(config: SGDConfig, n: int, iterations: int,
         yield from draw_batches(config.scheme, n, config.m, rngs, index)
 
 
-class _FitLoop:
-    """The loop both optimizers run: batch drawing, clipping, the
-    optimizer's update, clamping, trace recording, and failure wrapping.
+def _fit(dataset: Dataset, kernels: MultiKernel, config: SGDConfig, theta0: HyperParams,
+         step: Callable[[int, np.ndarray], tuple], floor: float | None) -> FitTrace:
+    """The loop both optimizers run: row 0 is theta0, and row k is
+    theta - delta kept within the bounds, where (delta, step size, gradient)
+    = step(k, iteration k's batch gradient rescaled to norm `clip` above it).
 
-    The batch of iteration k is the one `draw_batches` draws from
-    `iteration_rng(seed, k)`, SCHEDULE_CHUNK iterations per call. One
-    GradientPlan, built (and so checked) before the first iteration, takes
-    every gradient, so iteration k's is `stochastic_gradient`'s at the same
-    theta, bit for bit. Every iterate is positive (the bounds' lower end is
-    positive, or a non-positive entry ends the fit), so theta stays a plain
-    vector throughout.
+    Iteration k's batch is the one `draw_batches` draws from
+    `iteration_rng(seed, k)`. One GradientPlan, built (and so checked) before
+    the first iteration, takes every gradient, batch or full, so iteration
+    k's is `stochastic_gradient`'s at the same theta, bit for bit. The bounds
+    are `clamp` if set, else [floor, inf), else a check that theta stays in
+    (0, inf), so every iterate is positive.
     """
+    plan = GradientPlan(kernels, theta0, dataset.X, dataset.y)
+    iterations = config.resolve_iterations(dataset.n)
+    # Fails fast on a batch size the scaling cannot take, before iterating.
+    divisors = config.scaling.divisors(config.m, theta0)
+    full_divisors = ScalingPolicy().divisors(dataset.n, theta0)
+    index = SpatialIndex(dataset.X) if config.scheme == SamplingScheme.NEARBY else None
+    batches = _batch_stream(config, dataset.n, iterations, index)
+    bounds = config.clamp or (None if floor is None else (floor, np.inf))
+    rows, params = iterations + 1, theta0.n_params
+    theta, gradient = np.empty((rows, params)), np.full((rows, params), np.nan)
+    step_size, norm_sq, elapsed = np.empty(rows), np.full(rows, np.nan), np.empty(rows)
+    clamp_events = clip_events = 0
+    start = time.perf_counter()
 
-    def __init__(self, dataset: Dataset, kernels: MultiKernel, config: SGDConfig,
-                 theta0: HyperParams):
-        self.plan = GradientPlan(kernels, theta0, dataset.X, dataset.y)
-        self.kernels = kernels
-        self.config = config
-        self.theta0 = theta0
-        self.iterations = config.resolve_iterations(dataset.n)
-        index = build_index(dataset.X) if config.scheme == SamplingScheme.NEARBY else None
-        self.batches = _batch_stream(config, dataset.n, self.iterations, index)
-        rows, params = self.iterations + 1, theta0.n_params
-        self.theta = np.empty((rows, params))
-        self.gradient = np.full((rows, params), np.nan)
-        self.step_size = np.empty(rows)
-        self.norm_sq = np.zeros(rows)
-        self.grad_norm_recorded = np.zeros(rows, dtype=bool)
-        self.elapsed = np.empty(rows)
-        self.recorded = 0
-        self.start = time.perf_counter()
-        self.clamp_events = 0
-        self.clip_events = 0
-        # Fails fast on a batch size the scaling cannot take, before iterating.
-        self.divisors = config.scaling.divisors(config.m, theta0)
-        self.full_divisors = ScalingPolicy().divisors(dataset.n, theta0)
-
-    def run(self, step: Callable[[int, np.ndarray], tuple], floor: float | None) -> FitTrace:
-        """Record theta0 as row 0; then for each k take (delta, step size,
-        gradient) = step(k, iteration k's batch gradient), move to
-        theta - delta within bounds (see enforce_bounds) and record row k."""
-        theta_vec = self.theta0.to_vector()
-        self.record(0, theta_vec, 0.0, None)
-        for k, idx in enumerate(self.batches, start=1):
-            delta, step_size, grad = step(k, self.batch_gradient(k, idx, theta_vec))
-            theta_vec = self.enforce_bounds(k, theta_vec - delta, floor)
-            self.record(k, theta_vec, step_size, grad)
-        return self.trace()
-
-    def record(self, k: int, theta_vec: np.ndarray, step: float, grad: np.ndarray | None) -> None:
-        """Store row k: the iterate after step k, its step size and gradient,
-        the full-gradient norm when due, and the time since the start."""
-        self.theta[k] = theta_vec
-        self.step_size[k] = step
-        if grad is not None:
-            self.gradient[k] = grad
-        norm_sq = self.grad_norm_sq(k, theta_vec)
-        if norm_sq is not None:
-            self.norm_sq[k] = norm_sq
-            self.grad_norm_recorded[k] = True
-        self.elapsed[k] = time.perf_counter() - self.start
-        self.recorded = k + 1
-
-    def trace(self) -> FitTrace:
-        """The rows recorded so far, as read-only views."""
-        columns = [a[:self.recorded] for a in (self.theta, self.gradient, self.step_size,
-                                               self.norm_sq, self.grad_norm_recorded,
-                                               self.elapsed)]
+    def trace(done: int) -> FitTrace:
+        columns = [a[:done] for a in (theta, gradient, step_size, norm_sq, elapsed)]
         for a in columns:
             a.flags.writeable = False
-        return FitTrace(
-            *columns,
-            param_names=param_names(self.kernels, self.theta0),
-            n_kernels=self.kernels.n_kernels,
-            has_lengthscales=self.theta0.lengthscales is not None,
-            clamp_events=self.clamp_events,
-            clip_events=self.clip_events,
-        )
+        return FitTrace(*columns, param_names=param_names(kernels, theta0),
+                        n_kernels=kernels.n_kernels, has_lengthscales=theta0.lengthscales is not None,
+                        clamp_events=clamp_events, clip_events=clip_events)
 
-    def batch_gradient(self, k: int, idx: np.ndarray, theta_vec: np.ndarray) -> np.ndarray:
+    def gradient_at(k: int, vec: np.ndarray, batch: np.ndarray | None) -> np.ndarray:
+        """The batch gradient, or with no batch the full one, at theta = vec."""
         try:
-            grad = self.plan(theta_vec, self.divisors, idx)[0]
+            return plan(vec, full_divisors if batch is None else divisors, batch)[0]
         except NotPositiveDefiniteError as exc:
-            raise FitDivergedError(
-                f"covariance not positive definite at iteration {k}, theta "
-                f"{theta_vec.tolist()}: {exc}", self.trace()
-            ) from exc
-        if self.config.clip is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > self.config.clip:
-                grad = grad * (self.config.clip / norm)
-                self.clip_events += 1
-        return grad
+            which = "full-data covariance" if batch is None else "covariance"
+            raise FitDivergedError(f"{which} not positive definite at iteration {k}, theta "
+                                   f"{vec.tolist()}: {exc}", trace(k)) from exc
 
-    def enforce_bounds(self, k: int, theta_vec: np.ndarray, floor: float | None) -> np.ndarray:
-        if self.config.clamp is not None:
-            lo, hi = self.config.clamp
-        elif floor is not None:
-            lo, hi = floor, np.inf
-        else:
-            if np.any(theta_vec <= 0):
-                bad = int(np.argmax(theta_vec <= 0))
+    vec, alpha = theta0.to_vector(), 0.0
+    for k in range(rows):
+        if k:
+            grad = gradient_at(k, vec, next(batches))
+            if config.clip is not None:
+                norm = float(np.linalg.norm(grad))
+                if norm > config.clip:
+                    grad = grad * (config.clip / norm)
+                    clip_events += 1
+            delta, alpha, gradient[k] = step(k, grad)
+            vec = vec - delta
+            if bounds is not None:
+                clamped = np.minimum(np.maximum(vec, bounds[0]), bounds[1])
+                clamp_events += np.count_nonzero(clamped != vec)
+                vec = clamped
+            elif np.any(vec <= 0):
                 raise FitDivergedError(
-                    f"parameter slot {bad} left (0, inf) at iteration {k}, theta "
-                    f"{theta_vec.tolist()}; enable clamping or reduce the step size", self.trace())
-            return theta_vec
-        clamped = np.minimum(np.maximum(theta_vec, lo), hi)
-        self.clamp_events += np.count_nonzero(clamped != theta_vec)
-        return clamped
-
-    def grad_norm_sq(self, k: int, theta_vec: np.ndarray) -> float | None:
-        every = self.config.grad_norm_every
-        if every <= 0 or not (k % every == 0 or k == self.iterations):
-            return None
-        g = self.plan(theta_vec, self.full_divisors)[0]
-        return float(g @ g)
+                    f"parameter slot {int(np.argmax(vec <= 0))} left (0, inf) at iteration {k}, "
+                    f"theta {vec.tolist()}; enable clamping or reduce the step size", trace(k))
+        theta[k], step_size[k] = vec, alpha
+        if config.grad_norm_every and (k % config.grad_norm_every == 0 or k == iterations):
+            g = gradient_at(k, vec, None)
+            norm_sq[k] = g @ g
+        elapsed[k] = time.perf_counter() - start
+    return trace(rows)
 
 
 def sgd_fit(
@@ -427,7 +381,7 @@ def sgd_fit(
         alpha_k = config.alpha1 / k
         return alpha_k * grad, alpha_k, grad
 
-    return _FitLoop(dataset, kernels, config, theta0).run(step, floor=None)
+    return _fit(dataset, kernels, config, theta0, step, floor=None)
 
 
 def adam_fit(
@@ -461,5 +415,4 @@ def adam_fit(
         update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return update, config.learning_rate, grad
 
-    loop = _FitLoop(dataset, kernels, config, theta0)
-    return loop.run(step, floor=DEFAULT_CLAMP_BOUNDS[0])
+    return _fit(dataset, kernels, config, theta0, step, floor=DEFAULT_CLAMP_BOUNDS[0])

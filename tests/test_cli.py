@@ -510,7 +510,7 @@ def test_predict_uses_fit_params(tmp_path):
     assert (out / "predictions.csv").exists()
 
 
-def test_predict_numerical_failure_exits_one(tmp_path):
+def test_predict_numerical_failure_exits_one(tmp_path, capsys):
     train = simulate_small(tmp_path, "train", n=64, seed=1)
     code = run(["predict", "--out", tmp_path / "cgfail",
                 "--set", f"train={train / 'dataset.csv'}",
@@ -518,6 +518,17 @@ def test_predict_numerical_failure_exits_one(tmp_path):
                 "--set", "strategy=cg", "--set", "cg_tol=1e-15",
                 "--set", "cg_max_iter=1"])
     assert code == 1
+    assert "CGConvergenceError: cg prediction at theta [1.0, 1.0]: CG stopped after" in (
+        capsys.readouterr().err)
+    # a noise of 1e-300 under a long lengthscale leaves K singular
+    code = run(["predict", "--out", tmp_path / "exactfail",
+                "--set", f"train={train / 'dataset.csv'}",
+                "--set", f"test={train / 'dataset.csv'}",
+                "--set", "strategy=exact", "--set", "theta_noise=1e-300",
+                "--set", "lengthscales=[100]"])
+    assert code == 1
+    assert ("NotPositiveDefiniteError: exact prediction at theta [1.0, 1e-300]: Cholesky failed"
+            in capsys.readouterr().err)
 
 
 def test_predict_nearest_strategy(tmp_path):

@@ -28,7 +28,7 @@ from gpsgd import diagnostics
 from gpsgd.diagnostics import DecayFamily
 from gpsgd.kernels import marginal_covariance
 from gpsgd.linalg import cholesky, solve
-from gpsgd.sampling import SamplingScheme, build_index, draw_minibatch
+from gpsgd.sampling import SamplingScheme, SpatialIndex, build_index, draw_minibatch
 from gpsgd.seeds import component_rng
 
 MK = MultiKernel.single(KernelSpec.rbf(0.5))
@@ -295,12 +295,12 @@ def test_curvature_experiment_matches_per_replicate_draws(monkeypatch, input_dim
     trees = []
 
     def counting_index(X):
-        index = build_index(X)
+        index = SpatialIndex(X)
         index._tree = _CountingTree(index._tree)
         trees.append(index._tree)
         return index
 
-    monkeypatch.setattr(diagnostics, "build_index", counting_index)
+    monkeypatch.setattr(diagnostics, "SpatialIndex", counting_index)
     args = (60, [1, 5, 16, 60], 7, HyperParams((4.0,), 1.0), KernelSpec.rbf([0.5] * input_dim),
             _CoarseInputs(), 21, input_dim)
     reports = curvature_experiment(*args)

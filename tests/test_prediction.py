@@ -1,5 +1,7 @@
 """Posterior prediction tests: closed forms, strategies, truncation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from gpsgd import (
 )
 from gpsgd import prediction
 from gpsgd.kernels import cross_kernel_matrix, marginal_covariance
-from gpsgd.linalg import cg_solve, cholesky, solve
+from gpsgd.linalg import NotPositiveDefiniteError, cg_solve, cholesky, solve
 from gpsgd.prediction import CGConvergenceError
 from gpsgd.seeds import component_rng
 
@@ -126,6 +128,16 @@ def test_cg_non_convergence_reports_residual():
     with pytest.raises(CGConvergenceError, match="residual"):
         predict(theta, MK, ds.X, ds.y, ds.X[:2], strategy=PredictStrategy.CG,
                 cg_tol=1e-14, cg_max_iter=1)
+
+
+def test_nearest_failure_names_theta_and_test_point():
+    # test point 1's neighbors are three equal inputs: singular under a
+    # noise of 1e-300, while test point 0's are well apart
+    X = np.array([[-100.0], [-99.0], [-98.0], [0.0], [0.0], [0.0]])
+    with pytest.raises(NotPositiveDefiniteError, match=re.escape(
+            "nearest prediction at theta [1.0, 1e-300], test point 1: Cholesky failed")):
+        predict_nn(HyperParams((1.0,), 1e-300), MK, X, np.zeros(6), np.array([[-100.0], [0.0]]),
+                   3, build_index(X))
 
 
 def test_default_strategy_picks_exact_below_threshold():

@@ -26,7 +26,7 @@ from gpsgd import (
 )
 from gpsgd import training
 from gpsgd.cli import _write_trace
-from gpsgd.data import Uniform, levy, simulate_function
+from gpsgd.data import Dataset, Uniform, levy, simulate_function
 from gpsgd.kernels import kernel_matrix_grad, marginal_covariance
 from gpsgd.linalg import cholesky, solve, two_sided_solve
 from gpsgd.sampling import build_index, draw_minibatch
@@ -304,7 +304,6 @@ def test_sgd_fixed_point_of_zero_gradient():
     ds_fixture = simulate_gp(MK, theta0, 1, Gaussian(1.0), 1, seed=0)
     fixed = np.sqrt(1.5 + 0.5)
     X, y = ds_fixture.X, np.array([fixed])
-    from gpsgd.data import Dataset
     ds = Dataset(X=X, y=y)
     trace = sgd_fit(ds, MK, SGDConfig(m=1, iterations=5, alpha1=2.0, seed=1), theta0)
     assert np.max(np.abs(trace.theta - [1.5, 0.5])) < 1e-14
@@ -425,6 +424,20 @@ def test_sgd_grad_norm_recording():
     trace = sgd_fit(_dataset(), MK, config, HyperParams((3.0,), 2.0))
     recorded = [rec.iteration for rec in trace.records if rec.grad_norm_sq is not None]
     assert recorded == [0, 2, 4]
+    # NaN marks exactly the norms not taken
+    assert np.isnan(trace.grad_norm_sq).tolist() == [rec.grad_norm_sq is None
+                                                     for rec in trace.records]
+
+
+def test_full_gradient_failure_names_iteration_and_theta():
+    # three equal inputs and a noise of 1e-300 make the full covariance
+    # singular; the grad_norm_every norm at theta0 fails first
+    ds = Dataset(X=np.array([[0.0], [0.0], [0.0], [5.0]]), y=np.array([1.0, 1.1, 0.9, -1.0]))
+    config = SGDConfig(m=2, iterations=3, seed=1, grad_norm_every=1)
+    with pytest.raises(FitDivergedError, match=re.escape(
+            "full-data covariance not positive definite at iteration 0, theta [1.0, 1e-300]: ")) as info:
+        sgd_fit(ds, MK, config, HyperParams((1.0,), 1e-300))
+    assert len(info.value.trace.records) == 0   # no row was completed
 
 
 def test_config_validation():
