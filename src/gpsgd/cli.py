@@ -635,7 +635,7 @@ def cmd_diagnose(c: dict, out: Path) -> dict:
     pool_rng_seed = derived_seed(c["seed"], "diagnose-eigendecay")
     X = _input_dist(c).sample(np.random.Generator(np.random.Philox(pool_rng_seed)), n,
                               c["input_dim"])
-    spectrum = sym_eigenvalues(kernel_matrix(c["kernels"].components[0], X))
+    spectrum = sym_eigenvalues(kernel_matrix(c["kernels"].components[0], X), overwrite=True)
     fit = eigendecay_fit(spectrum, n, c["decay_family"], index_range=c["fit_index_range"])
     _write_table(out / "eigendecay.csv",
                  ["family", "rate", "scale", "index_lo", "index_hi", "residual"],

@@ -106,8 +106,7 @@ def simulate_gp(
         raise ValueError("n must be at least 1")
     rng = component_rng(seed, "simulate-gp")
     X = input_dist.sample(rng, n, input_dim)
-    K = marginal_covariance(kernels, theta_true, X)
-    factor = cholesky(K)
+    factor = cholesky(marginal_covariance(kernels, theta_true, X), overwrite=True)
     y = factor.lower @ rng.standard_normal(n)
     provenance = {
         "generator": "gp",

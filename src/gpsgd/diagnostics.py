@@ -68,9 +68,8 @@ def conditional_expected_gradient(
     """
     divisors = scaling.divisors(np.shape(batch_X)[0], theta)
 
-    K = marginal_covariance(kernels, theta, batch_X)
     K_true = marginal_covariance(kernels, theta_true, batch_X)
-    factor = cholesky(K)
+    factor = cholesky(marginal_covariance(kernels, theta, batch_X), overwrite=True)
     B_true = two_sided_solve(factor, K_true)
     out = np.empty(theta.n_params)
     for l in range(theta.n_params):
@@ -129,7 +128,7 @@ def monte_carlo_expected_gradient(
     as one m x draws block. Independent of the trace-formula route.
     """
     m = np.shape(batch_X)[0]
-    factor_true = cholesky(marginal_covariance(kernels, theta_true, batch_X))
+    factor_true = cholesky(marginal_covariance(kernels, theta_true, batch_X), overwrite=True)
     rng = component_rng(seed, "mc-expected-gradient")
     Y = factor_true.lower @ rng.standard_normal((draws, m)).T
     samples = GradientPlan(kernels, theta, batch_X, Y)(theta.to_vector(), scaling.divisors(m, theta))
@@ -261,7 +260,8 @@ def curvature_experiment(
             cell = f"curvature-{scheme.value}-m{m}"
             rngs = (component_rng(seed, cell, rep) for rep in range(replicates))
             batches = draw_batches(scheme, pool_size, m, rngs, index)
-            values = np.array([noise_curvature(theta, sym_eigenvalues(kernel_matrix(kernel, X[b])))
+            values = np.array([noise_curvature(theta, sym_eigenvalues(kernel_matrix(kernel, X[b]),
+                                                                      overwrite=True))
                                for b in batches])
             reports.append(
                 CurvatureReport(

@@ -128,7 +128,7 @@ def _naming_theta(exc: Exception, strategy: PredictStrategy, vec: np.ndarray, po
 def _exact_moments(K, y, k_star):
     """Mean and k*^T K^-1 k* per test point from one forward pass
     W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k."""
-    W = forward_solve(cholesky(K), np.column_stack((y, k_star)))
+    W = forward_solve(cholesky(K, overwrite=True), np.column_stack((y, k_star)))
     w_y, W_k = W[:, 0], W[:, 1:]
     return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
 

@@ -218,7 +218,7 @@ class FitDivergedError(Exception):
 def nll_loss(theta: HyperParams, kernels: MultiKernel, X: np.ndarray, y: np.ndarray) -> float:
     """Scaled negative log marginal likelihood of y given X."""
     y = np.asarray(y, dtype=np.float64)
-    factor = cholesky(marginal_covariance(kernels, theta, X))
+    factor = cholesky(marginal_covariance(kernels, theta, X), overwrite=True)
     n = y.shape[0]
     return float((y @ solve(factor, y) + log_det(factor) + n * LOG_2PI) / (2.0 * n))
 
@@ -252,8 +252,8 @@ class GradientPlan:
 
     def __call__(self, theta: np.ndarray, divisors: np.ndarray, rows=None) -> np.ndarray:
         K, contract = self.covariance_plan(theta, rows)
-        factor = cholesky(K)
-        del K  # the full gradient runs at n in the thousands: free K before the inverse
+        factor = cholesky(K, overwrite=True)
+        del K  # its buffer now holds the factor
         alpha = solve(factor, self.Y if rows is None else self.Y[rows])
         inv = inverse(factor)
         out = np.empty((alpha.shape[1], divisors.shape[0]))
@@ -335,9 +335,12 @@ def _fit(dataset: Dataset, kernels: MultiKernel, config: SGDConfig, theta0: Hype
         try:
             return plan(vec, full_divisors if batch is None else divisors, batch)[0]
         except NotPositiveDefiniteError as exc:
-            which = "full-data covariance" if batch is None else "covariance"
+            which, done = "covariance", k
+            if batch is None:   # theta_k is stored: keep its row, the norm left NaN
+                which, done = "full-data covariance", k + 1
+                elapsed[k] = time.perf_counter() - start
             raise FitDivergedError(f"{which} not positive definite at iteration {k}, theta "
-                                   f"{vec.tolist()}: {exc}", trace(k)) from exc
+                                   f"{vec.tolist()}: {exc}", trace(done)) from exc
 
     vec, alpha = theta0.to_vector(), 0.0
     for k in range(rows):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from scipy.linalg.blas import dsyrk
 
 from gpsgd import linalg
 from gpsgd.kernels import KernelSpec, kernel_matrix
@@ -80,6 +81,48 @@ def test_factor_solves_and_inverse_match_scipy_bit_for_bit(n):
     got = inverse(factor)
     assert np.array_equal(got, lower + np.tril(lower, -1).T)
     assert got.flags.c_contiguous
+
+
+def _layouts(n):
+    """A symmetric positive definite matrix in each memory layout the
+    factor and the eigensolve take: C order, Fortran order, 1 x 1 and a
+    strided view. Each call returns fresh arrays."""
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-2.0, 2.0, size=(2 * n, 3))
+    K = kernel_matrix(KernelSpec.rbf((1.0, 0.7, 1.3)), X) + 0.1 * np.eye(2 * n)
+    return {"C": K[:n, :n].copy(), "F": np.asfortranarray(K[:n, :n]),
+            "1x1": np.array([[2.5]]), "strided": K[::2, ::2]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "1x1", "strided"])
+@pytest.mark.parametrize("n", [16, 300])
+def test_factor_and_eigensolve_in_place_match_the_copying_calls_bit_for_bit(layout, n):
+    K = _layouts(n)[layout]
+    before = K.copy()
+    L = cholesky(K).lower
+    values = sym_eigenvalues(K)
+    assert np.array_equal(K, before)   # the default calls leave K as it was
+    assert np.array_equal(L, scipy.linalg.cholesky(before, lower=True, check_finite=False))
+    assert np.array_equal(values, np.linalg.eigvalsh(before)[::-1])
+    K = _layouts(n)[layout]
+    factor = cholesky(K, overwrite=True)
+    assert np.array_equal(factor.lower, L)
+    if layout in ("C", "F"):   # contiguous: factored in K's own buffer
+        assert np.shares_memory(factor.lower, K)
+    assert np.array_equal(sym_eigenvalues(_layouts(n)[layout], overwrite=True), values)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_cholesky_reads_the_lower_triangle_of_a_fortran_ordered_matrix(overwrite):
+    # woodbury_preconditioner's inner matrix comes from dsyrk(lower=1): only
+    # its lower triangle is set, so it must reach dpotrf untransposed
+    L = np.asfortranarray(np.random.default_rng(5).normal(size=(40, 12)))
+    inner = dsyrk(1.0, L, trans=1, lower=1)
+    assert inner.flags.f_contiguous and not np.triu(inner, 1).any()
+    inner.flat[::inner.shape[0] + 1] += 0.5
+    full = np.tril(inner) + np.tril(inner, -1).T
+    expected = scipy.linalg.cholesky(full, lower=True, check_finite=False)
+    assert np.array_equal(cholesky(inner, overwrite=overwrite).lower, expected)
 
 
 def test_cholesky_names_the_failed_minor():

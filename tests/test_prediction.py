@@ -1,6 +1,7 @@
 """Posterior prediction tests: closed forms, strategies, truncation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,21 @@ def test_exact_one_pass_matches_two_solve_oracle():
 
     assert rel(result.mean, mean) < 1e-12
     assert rel(result.variance, np.diag(cov)) < 1e-12
+
+
+def test_exact_predict_holds_one_n_by_n_array():
+    # K is factored in its own buffer: with a second n x n array (a copy
+    # of K for dpotrf) the peak would be about 2.1 x 8 n^2 bytes
+    n = 1500
+    rng = np.random.default_rng(31)
+    X, y, X_test = rng.normal(0, 5.0, size=(n, 1)), rng.normal(size=n), rng.normal(size=(8, 1))
+    tracemalloc.start()
+    try:
+        predict(HyperParams((4.0,), 1.0), MK, X, y, X_test, strategy=PredictStrategy.EXACT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("strategy", [PredictStrategy.EXACT, PredictStrategy.CG, None])

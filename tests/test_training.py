@@ -437,7 +437,12 @@ def test_full_gradient_failure_names_iteration_and_theta():
     with pytest.raises(FitDivergedError, match=re.escape(
             "full-data covariance not positive definite at iteration 0, theta [1.0, 1e-300]: ")) as info:
         sgd_fit(ds, MK, config, HyperParams((1.0,), 1e-300))
-    assert len(info.value.trace.records) == 0   # no row was completed
+    # theta0 was stored before its norm failed: the trace keeps row 0,
+    # its elapsed time taken and its norm NaN
+    trace = info.value.trace
+    assert trace.iterations == 0 and len(trace.records) == 1
+    assert trace.final_theta == HyperParams((1.0,), 1e-300)
+    assert np.isnan(trace.grad_norm_sq[0]) and np.isfinite(trace.elapsed[0])
 
 
 def test_config_validation():
