@@ -18,7 +18,6 @@ import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .data import (
     Dataset,
     Gaussian,
     Uniform,
+    _atomic_write,
     load_csv,
     save_csv,
     simulate_function,
@@ -493,12 +493,6 @@ def _sgd_config(c: dict, seed: int, **run) -> SGDConfig:
                   scaling=ScalingPolicy(c["scaling"], c["tau"]), clamp=c["clamp"],
                   clip=c["clip"], seed=seed, grad_norm_every=c["grad_norm_every"])
     return SGDConfig(**{**fields, **run})
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:

@@ -3,13 +3,21 @@
 Datasets are an n x D input matrix plus an n response vector. CSV files use
 a `x1,...,xD,y` header with the response in the last column; floats are
 written with shortest round-trip formatting so load(save(ds)) is bit exact.
+
+save_csv writes through a temporary file renamed onto the target, so an
+interrupted write leaves no truncated dataset. load_csv parses the rows in
+one numpy loadtxt pass; only a file that fails it or its checks is scanned
+line by line, to name the first bad line and column.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
+import os
+import warnings
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -214,45 +222,72 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write `x1,...,xD,y` rows with shortest round-trip float formatting."""
     header = ",".join([f"x{j + 1}" for j in range(dataset.input_dim)] + ["y"])
     rows = (",".join(map(repr, x + [v])) for x, v in zip(dataset.X.tolist(), dataset.y.tolist()))
-    with Path(path).open("w", newline="") as fh:   # CRLF rows, as csv.writer wrote them
-        fh.write("\r\n".join([header, *rows]) + "\r\n")
+    # CRLF rows, as csv.writer wrote them
+    _atomic_write(Path(path), "\r\n".join([header, *rows]) + "\r\n")
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file renamed onto it, so an
+    interrupted write leaves no truncated `path`; no newline is translated."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, newline="")
+    os.replace(tmp, path)
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Read a dataset written by save_csv (or any numeric CSV with the same
-    header convention). The last column is the response."""
+    header convention). The last column is the response. A bad header, no
+    data rows, a row of the wrong width (a blank line too) or a non-numeric
+    or non-finite cell raises ValueError naming the file, line and column."""
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open() as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path}: no data rows")
+        width = len(_check_header(path, _cells(header)))
+        lines = itertools.count()   # the lines loadtxt reads, blank ones (which it skips) too
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: no data rows") from None
-        _check_header(path, header)
-        dim = len(header) - 1
-        xs: list[list[float]] = []
-        ys: list[float] = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise ValueError(f"{path}:{row_num}: expected {dim + 1} columns, got {len(row)}")
-            values = []
-            for col_num, cell in enumerate(row, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{row_num}: column {col_num}: non-numeric cell {cell!r}"
-                    ) from None
-            xs.append(values[:-1])
-            ys.append(values[-1])
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
-    return Dataset(X=np.array(xs), y=np.array(ys))
+            with warnings.catch_warnings():   # it warns on a file of no rows, rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(map(itemgetter(0), zip(fh, lines)), delimiter=",",
+                                  comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _first_bad_line(path, fh, width) or ValueError(f"{path}: {exc}") from None
+        if data.shape != (next(lines), width) or not np.isfinite(data).all():
+            raise _first_bad_line(path, fh, width) or ValueError(f"{path}: no data rows")
+    # C-ordered copies, as the per-cell reader built: a strided X sums in
+    # another order, so fixed-seed outputs would move in the last bits
+    return Dataset(X=data[:, :-1].copy(), y=data[:, -1].copy())
 
 
-def _check_header(path: Path, header: list[str]) -> None:
+def _cells(line: str) -> list[str]:
+    line = line.removesuffix("\n")
+    return line.split(",") if line else []
+
+
+def _first_bad_line(path: Path, fh, width: int) -> ValueError | None:
+    """The error for the first data line of `fh` that is not `width` finite
+    numbers, None if every line is."""
+    fh.seek(0)
+    fh.readline()
+    for line_num, line in enumerate(fh, start=2):
+        cells = _cells(line)
+        if len(cells) != width:
+            return ValueError(f"{path}:{line_num}: expected {width} columns, got {len(cells)}")
+        for col_num, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return ValueError(f"{path}:{line_num}: column {col_num}: non-numeric cell {cell!r}")
+            if not math.isfinite(value):
+                return ValueError(f"{path}:{line_num}: column {col_num}: non-finite cell {cell!r}")
+    return None
+
+
+def _check_header(path: Path, header: list[str]) -> list[str]:
     if len(header) < 2 or header[-1] != "y":
         raise ValueError(f"{path}: header must be x1,...,xD,y, got {header}")
     for j, name in enumerate(header[:-1]):
         if name != f"x{j + 1}":
             raise ValueError(f"{path}: header column {j + 1} is {name!r}, expected 'x{j + 1}'")
+    return header

@@ -486,9 +486,9 @@ class CovariancePlan:
                     dh = _matern_profile_dh(np.sqrt(sq), order, float(ls[0]))
                     out.append(variance * np.einsum("ab,ab->", W, dh))
                     continue
-                P, tiles = W * base, [slice(i, i + _TILE) for i in range(0, len(X), _TILE)]
+                tiles = [slice(i, i + _TILE) for i in range(0, len(X), _TILE)]
                 out.extend(variance / ls**3 * sum(
-                    np.einsum("ab,abd->d", P[r, c], (X[r, None] - X[c]) ** 2)
+                    np.einsum("ab,abd->d", W[r, c] * base[r, c], (X[r, None] - X[c]) ** 2)
                     for r in tiles for c in tiles))
             return np.array(out)
 

@@ -56,6 +56,7 @@ Woodbury products on numpy's `@` (2 cores, OpenBLAS 0.3.30).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,13 +128,17 @@ def cholesky(K: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
     holds L and must not be used again, also when the factor fails; without
     it K is left unchanged.
 
-    Raises NotPositiveDefiniteError if any pivot is non-positive.
+    Raises NotPositiveDefiniteError if K has a non-finite entry or a
+    non-positive pivot. The entries are checked through their sum, which is
+    finite only if every entry is: the n x n mask of finite entries is built
+    only when the sum is not, to name the first bad one.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    finite = np.isfinite(K)
-    if not finite.all():
+    # einsum sums without K.sum()'s overflow warning, which np.errstate
+    # would silence at more than the check's own cost at m=16
+    if not math.isfinite(np.einsum("ij->", K)) and not (finite := np.isfinite(K)).all():
         bad = np.argwhere(~finite)
         raise NotPositiveDefiniteError(
             f"{K.shape[0]}x{K.shape[0]} matrix has {bad.shape[0]} non-finite entries, "
@@ -151,8 +156,12 @@ def cholesky(K: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
 
 
 def inverse(factor: CholeskyFactor) -> np.ndarray:
-    """K^-1 from the Cholesky factor of K (LAPACK potri), exactly symmetric."""
-    inv, info = _potri(factor.lower, lower=1)
+    """K^-1 from the Cholesky factor of K (LAPACK potri), exactly symmetric.
+
+    potri works in the factor's own buffer, so the factor must not be used
+    again; a caller that drops it holds two n x n arrays here, not three.
+    """
+    inv, info = _potri(factor.lower, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefiniteError(f"potri failed with info={info}")
     # potri writes the lower triangle and keeps L's strict upper one, which

@@ -256,6 +256,7 @@ class GradientPlan:
         del K  # its buffer now holds the factor
         alpha = solve(factor, self.Y if rows is None else self.Y[rows])
         inv = inverse(factor)
+        del factor  # its buffer now holds potri's output
         out = np.empty((alpha.shape[1], divisors.shape[0]))
         for j, a in enumerate(alpha.T):
             W = inv if j == len(out) - 1 else inv.copy()

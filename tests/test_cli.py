@@ -277,6 +277,18 @@ def test_rejected_dataset_csv_exits_two(tmp_path, capsys, command, key):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, where", [
+    ("x1,y\n0,1\n\n1,2\n", ":3: expected 2 columns, got 0"),
+    ("x1,y\n0,1\n1,nan\n", ":3: column 2: non-finite cell 'nan'"),
+], ids=["blank-line", "non-finite"])
+def test_dataset_csv_bad_line_exits_two(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run(["fit", "--out", tmp_path / "out", "--set", f"data={bad}"]) == 2
+    assert f"error: data: {bad}{where}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 _CURVATURE = ["study=curvature", "n=64", "m_grid=[8]"]
 _VARY_M = ["study=vary-m", "n=64", "m_grid=[8]"]
 _PARAM = ["study=param-convergence", "n=64", "m=16"]

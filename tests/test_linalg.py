@@ -62,6 +62,12 @@ def test_cholesky_rejects_non_finite(bad):
         cholesky(A)
 
 
+def test_cholesky_takes_finite_entries_whose_sum_overflows():
+    with np.errstate(all="raise"):
+        factor = cholesky(np.diag([1e308, 1e308]))
+    assert np.array_equal(factor.lower, np.diag([math.sqrt(1e308)] * 2))
+
+
 @pytest.mark.parametrize("n", [1, 16, 127, 128, 129, 300, 512])
 def test_factor_solves_and_inverse_match_scipy_bit_for_bit(n):
     rng = np.random.default_rng(n)

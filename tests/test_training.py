@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,23 @@ def test_full_gradient_matches_finite_differences():
     grad = full_gradient(theta, MK, ds.X, ds.y)
     fd = fd_gradient(theta, MK, ds.X, ds.y)
     assert np.max(np.abs(grad - fd) / np.abs(fd)) < 1e-5
+
+
+@pytest.mark.parametrize("n, dim, learn", [(1500, 1, False), (600, 4, True)])
+def test_full_gradient_holds_three_n_by_n_arrays(n, dim, learn):
+    # at most three n x n arrays at once: potri works in the factor's buffer,
+    # which is dropped, and the lengthscale product is formed per tile
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-3.0, 3.0, size=(n, dim))
+    kernels = MultiKernel.single(KernelSpec.rbf((1.0,) * dim))
+    theta = HyperParams((1.0,), 0.1, (1.0,) * dim if learn else None)
+    tracemalloc.start()
+    try:
+        full_gradient(theta, kernels, X, rng.standard_normal(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n * n
 
 
 def test_gradient_with_lengthscales_matches_finite_differences():
