@@ -5,7 +5,7 @@ Configuration is a flat JSON document merged with `--set key=value` overrides
 (flags win); unknown keys are rejected. Every key has a default, a type and a
 range in one table, `KEYS`; every value and the rules that tie keys together
 are checked before any work. Every run writes a `summary.txt` with the
-resolved-config hash and elapsed time. Output CSVs contain no wall-clock
+resolved-config hash, the elapsed time and the BLAS thread pin. Output CSVs contain no wall-clock
 columns, so a rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage/config error.
@@ -55,6 +55,7 @@ from .kernels import (
     kernel_matrix,
     param_names,
 )
+from . import linalg
 from .linalg import EIG_SIZE_CAP, sym_eigenvalues
 from .prediction import PredictStrategy, predict, predict_nn, rmse
 from .sampling import SamplingScheme, SpatialIndex
@@ -520,11 +521,21 @@ def _write_trace(path: Path, trace) -> None:
                   for k, (step, theta, norm) in enumerate(columns)))
 
 
+def _blas_pin() -> str:
+    """The BLAS library linalg.one_blas_thread pins, and the limits it is used with."""
+    if linalg.PINNED_BLAS is None:
+        return "no OpenBLAS found, no pin"
+    return (f"{linalg.PINNED_BLAS} on one thread up to order "
+            f"{linalg.ONE_THREAD_MAX_ORDER_INVERSE} (gradient: factor, solve, inverse) and "
+            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (exact moments: factor, triangular pass)")
+
+
 def _write_summary(out: Path, command: str, cfg: dict, started: float, extra: dict) -> None:
     lines = [
         f"command: {command}",
         f"config_hash: {config_hash(cfg)}",
         f"elapsed_seconds: {time.time() - started:.3f}",
+        f"blas_pin: {_blas_pin()}",
     ]
     lines += [f"{key}: {value}" for key, value in extra.items()]
     _atomic_write(out / "summary.txt", "\n".join(lines) + "\n")

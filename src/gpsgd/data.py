@@ -5,7 +5,8 @@ a `x1,...,xD,y` header with the response in the last column; floats are
 written with shortest round-trip formatting so load(save(ds)) is bit exact.
 
 save_csv writes through a temporary file renamed onto the target, so an
-interrupted write leaves no truncated dataset. load_csv parses the rows in
+interrupted write leaves no truncated dataset, and formats the rows a chunk
+at a time. load_csv parses the rows in
 one numpy loadtxt pass; only a file that fails it or its checks is scanned
 line by line, to name the first bad line and column.
 """
@@ -19,13 +20,17 @@ import warnings
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .kernels import HyperParams, MultiKernel, marginal_covariance
 from .linalg import cholesky
 from .seeds import component_rng
+
+
+# Rows save_csv formats and writes at a time.
+SAVE_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -219,18 +224,29 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Normaliz
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write `x1,...,xD,y` rows with shortest round-trip float formatting."""
+    """Write `x1,...,xD,y` rows with shortest round-trip float formatting,
+    SAVE_CHUNK_ROWS rows at a time, so the text of the whole file is never
+    held."""
     header = ",".join([f"x{j + 1}" for j in range(dataset.input_dim)] + ["y"])
-    rows = (",".join(map(repr, x + [v])) for x, v in zip(dataset.X.tolist(), dataset.y.tolist()))
-    # CRLF rows, as csv.writer wrote them
-    _atomic_write(Path(path), "\r\n".join([header, *rows]) + "\r\n")
+
+    def chunks():
+        # CRLF rows, as csv.writer wrote them
+        yield header + "\r\n"
+        for start in range(0, dataset.n, SAVE_CHUNK_ROWS):
+            rows = slice(start, start + SAVE_CHUNK_ROWS)
+            yield "\r\n".join(",".join(map(repr, x + [v])) for x, v in
+                               zip(dataset.X[rows].tolist(), dataset.y[rows].tolist())) + "\r\n"
+
+    _atomic_write(Path(path), chunks())
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temporary file renamed onto it, so an
-    interrupted write leaves no truncated `path`; no newline is translated."""
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or its pieces in order, to `path` through a
+    temporary file renamed onto it, so an interrupted write leaves no
+    truncated `path`; no newline is translated."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="")
+    with tmp.open("w", newline="") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -267,7 +283,7 @@ def _cells(line: str) -> list[str]:
 
 def _first_bad_line(path: Path, fh, width: int) -> ValueError | None:
     """The error for the first data line of `fh` that is not `width` finite
-    numbers, None if every line is."""
+    numbers as numpy's parser reads them, None if every line is."""
     fh.seek(0)
     fh.readline()
     for line_num, line in enumerate(fh, start=2):
@@ -276,12 +292,23 @@ def _first_bad_line(path: Path, fh, width: int) -> ValueError | None:
             return ValueError(f"{path}:{line_num}: expected {width} columns, got {len(cells)}")
         for col_num, cell in enumerate(cells, start=1):
             try:
-                value = float(cell)
+                value = _numpy_float(cell)
             except ValueError:
                 return ValueError(f"{path}:{line_num}: column {col_num}: non-numeric cell {cell!r}")
             if not math.isfinite(value):
                 return ValueError(f"{path}:{line_num}: column {col_num}: non-finite cell {cell!r}")
     return None
+
+
+def _numpy_float(cell: str) -> float:
+    """float(cell) under the rule of numpy's text parser: inside the
+    surrounding whitespace a cell is ASCII, with none of the underscores
+    float() takes between digits (`1_000`, fullwidth or Arabic-Indic
+    digits are refused)."""
+    number = cell.strip()
+    if not number.isascii() or "_" in number:
+        raise ValueError(cell)
+    return float(number)
 
 
 def _check_header(path: Path, header: list[str]) -> list[str]:

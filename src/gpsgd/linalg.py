@@ -14,6 +14,28 @@ at m=128 took 8.0 ms, against 0.39 ms with both calls on scipy. So callers on
 a hot path keep every matrix product that is large enough to be threaded on
 scipy's BLAS too (see the CG matvec and the predictive mean in prediction).
 
+At the orders of a small batch, scipy's OpenBLAS loses more to its threads
+than they gain, and its threaded dpotrf and dpotri give other last bits
+than one thread does. `one_blas_thread` runs scipy's pool on one thread for
+one call and restores the count after; numpy's pool is left alone, since
+nothing here runs on it. The pool is the mapped library that exports
+scipy_openblas_set_num_threads, found once at import in /proc/self/maps;
+without one the context does nothing. Two callers enter it once per call,
+keyed on the matrix order: training.GradientPlan (factor, solve and
+inverse) up to ONE_THREAD_MAX_ORDER_INVERSE = 192, and prediction's exact
+moments (factor and triangular pass) up to ONE_THREAD_MAX_ORDER_FACTOR =
+512, which covers nearest-neighbour prediction at its default 256
+neighbours. The limits come from bench/blas_threads.py's sweep
+(BENCH_threads.json; 2 cores, OpenBLAS 0.3.30, microseconds per call on the
+default 2 threads against 1): a one-column gradient took 693 against 479
+at 128 and 1784 against 1698 at 192, but 3990 against 4849 at 256 (dpotri
+alone crosses between 160 and 192); the exact moments took 819 against 727
+at 256 and 4405 against 3926 at 512, but 8113 against 9303 at 640. Below
+its limit a call gives the same bits at any thread count; unpinned, the
+gradient's dpotri differs in the last bits between 1 and 2 threads at
+every order swept, from 16 up. Entering and leaving the context costs
+about 2.4 us. Larger orders, CG and the eigensolver keep every thread.
+
 The factor, the solves and the inverse call LAPACK's dpotrf, dtrtrs and
 dpotri through handles fetched once at import. They make the same LAPACK
 calls that scipy.linalg.cholesky and solve_triangular make, without the
@@ -56,7 +78,9 @@ Woodbury products on numpy's `@` (2 cores, OpenBLAS 0.3.30).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,6 +112,61 @@ EIG_SIZE_CAP = 4096
 # once the largest remaining signal diagonal is at most STOP * noise.
 PRECONDITIONER_MAX_RANK = 300
 PRECONDITIONER_STOP = 1e-6
+# The largest matrix orders at which scipy's OpenBLAS runs on one thread (see
+# one_blas_thread): a factor, solve and inverse (dpotri's crossover), and a
+# factor and triangular pass (dpotrf's). From bench/blas_threads.py's sweep.
+ONE_THREAD_MAX_ORDER_INVERSE = 192
+ONE_THREAD_MAX_ORDER_FACTOR = 512
+
+
+def _scipy_openblas() -> tuple[str, Callable[[], int], Callable[[int], None]] | None:
+    """The file name and the thread-count getter and setter of the OpenBLAS
+    that scipy's LAPACK and BLAS run on: the mapped library that exports
+    scipy_openblas_get_num_threads and scipy_openblas_set_num_threads
+    (numpy's own OpenBLAS exports them with a 64_ suffix). None when no
+    mapped library does, or the process has no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return os.path.basename(path), get, set_
+    return None
+
+
+# PINNED_BLAS: the file name of the OpenBLAS that one_blas_thread pins, None if none.
+PINNED_BLAS, _get_threads, _set_threads = _scipy_openblas() or (None, None, None)
+
+
+class one_blas_thread:
+    """Context that runs scipy's OpenBLAS on one thread for a matrix of
+    order at most `limit`, and restores the thread count it found on exit.
+    Above the limit, or with no scipy OpenBLAS in the process, it does
+    nothing. The count is process-wide: enter it from one Python thread at
+    a time. numpy's own OpenBLAS keeps its threads."""
+
+    __slots__ = ("_pin", "_threads")
+
+    def __init__(self, order: int, limit: int):
+        self._pin = PINNED_BLAS is not None and order <= limit
+
+    def __enter__(self) -> None:
+        if self._pin:
+            self._threads = _get_threads()
+            _set_threads(1)
+
+    def __exit__(self, *exc) -> None:
+        if self._pin:
+            _set_threads(self._threads)
 
 
 def _lapack_order(K: np.ndarray) -> np.ndarray:

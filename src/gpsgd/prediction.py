@@ -36,8 +36,9 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsymv
 
 from .kernels import CovariancePlan, HyperParams, MultiKernel
-from .linalg import (CGBreakdownError, NotPositiveDefiniteError, cg_solve, cholesky,
-                     forward_solve, pivoted_cholesky, woodbury_preconditioner)
+from .linalg import (ONE_THREAD_MAX_ORDER_FACTOR, CGBreakdownError, NotPositiveDefiniteError,
+                     cg_solve, cholesky, forward_solve, one_blas_thread, pivoted_cholesky,
+                     woodbury_preconditioner)
 from .sampling import SpatialIndex
 
 EXACT_SIZE_LIMIT = 10_000
@@ -127,10 +128,13 @@ def _naming_theta(exc: Exception, strategy: PredictStrategy, vec: np.ndarray, po
 
 def _exact_moments(K, y, k_star):
     """Mean and k*^T K^-1 k* per test point from one forward pass
-    W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k."""
-    W = forward_solve(cholesky(K, overwrite=True), np.column_stack((y, k_star)))
-    w_y, W_k = W[:, 0], W[:, 1:]
-    return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
+    W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k.
+    Up to ONE_THREAD_MAX_ORDER_FACTOR training points (every nearest
+    neighbourhood at the default k=256) it runs on one scipy BLAS thread."""
+    with one_blas_thread(K.shape[0], ONE_THREAD_MAX_ORDER_FACTOR):
+        W = forward_solve(cholesky(K, overwrite=True), np.column_stack((y, k_star)))
+        w_y, W_k = W[:, 0], W[:, 1:]
+        return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
 
 
 def _variance(theta: HyperParams, quad: np.ndarray) -> np.ndarray:

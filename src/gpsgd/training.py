@@ -35,7 +35,8 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import CovariancePlan, HyperParams, MultiKernel, marginal_covariance, param_names
-from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
+from .linalg import (ONE_THREAD_MAX_ORDER_INVERSE, NotPositiveDefiniteError, cholesky, inverse,
+                     log_det, one_blas_thread, solve)
 from .sampling import Minibatch, SamplingScheme, SpatialIndex, draw_batches
 from .seeds import iteration_rng
 
@@ -234,7 +235,10 @@ class GradientPlan:
     <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) over those rows, a = K^-1 Y[:, j].
 
     One covariance build, one Cholesky, one inverse and one solve serve the
-    whole block; each column then costs one contraction. The last column
+    whole block; each column then costs one contraction. The factor, solve
+    and inverse of at most ONE_THREAD_MAX_ORDER_INVERSE rows run on one
+    scipy BLAS thread (linalg.one_blas_thread), so a batch gradient has the
+    same bits at any BLAS thread count. The last column
     subtracts a a^T from the inverse in place, so a one-column block makes
     no copy of it: the full gradient runs at n in the thousands.
     """
@@ -252,11 +256,12 @@ class GradientPlan:
 
     def __call__(self, theta: np.ndarray, divisors: np.ndarray, rows=None) -> np.ndarray:
         K, contract = self.covariance_plan(theta, rows)
-        factor = cholesky(K, overwrite=True)
-        del K  # its buffer now holds the factor
-        alpha = solve(factor, self.Y if rows is None else self.Y[rows])
-        inv = inverse(factor)
-        del factor  # its buffer now holds potri's output
+        with one_blas_thread(K.shape[0], ONE_THREAD_MAX_ORDER_INVERSE):
+            factor = cholesky(K, overwrite=True)
+            del K  # its buffer now holds the factor
+            alpha = solve(factor, self.Y if rows is None else self.Y[rows])
+            inv = inverse(factor)
+            del factor  # its buffer now holds potri's output
         out = np.empty((alpha.shape[1], divisors.shape[0]))
         for j, a in enumerate(alpha.T):
             W = inv if j == len(out) - 1 else inv.copy()
@@ -379,7 +384,10 @@ def sgd_fit(
     """Minibatch SGD with diminishing step sizes alpha_k = alpha1 / k.
 
     Deterministic given (seed, config, data): the batch at iteration k is a
-    pure function of the seed and k.
+    pure function of the seed and k. With m at most
+    linalg.ONE_THREAD_MAX_ORDER_INVERSE the iterates are also the same at
+    any BLAS thread count; a larger m, and the `grad_norm_every` norms of
+    more rows than that, are the same only for the same thread count.
     """
     def step(k: int, grad: np.ndarray):
         alpha_k = config.alpha1 / k

@@ -1,12 +1,16 @@
 """End-to-end CLI tests: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpsgd import HyperParams, KernelSpec, MultiKernel, PredictStrategy, load_csv, predict
+import gpsgd
+from gpsgd import HyperParams, KernelSpec, MultiKernel, PredictStrategy, linalg, load_csv, predict
 from gpsgd.cli import _write_table, main
 
 
@@ -642,3 +646,46 @@ def test_config_rejects_unknown_file_key(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"frobnicate": True}))
     assert run(["simulate", "--config", config, "--out", tmp_path / "y"]) == 2
+
+
+def test_small_factorizations_give_the_same_bits_at_any_blas_thread_count(tmp_path):
+    # The batch gradients (m=128) and the 256-point nearest neighbourhoods
+    # factor on one scipy BLAS thread, so these outputs do not depend on
+    # OPENBLAS_NUM_THREADS. grad_norm_sq is a full gradient over 512 rows,
+    # above linalg.ONE_THREAD_MAX_ORDER_INVERSE: it keeps every thread and
+    # may differ in the last bits, so only trace.csv's theta columns are
+    # compared.
+    data = simulate_small(tmp_path, n=512, seed=11)
+    src = str(Path(gpsgd.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        fit, pred = tmp_path / f"fit{threads}", tmp_path / f"pred{threads}"
+        for args in (["fit", "--out", fit, "--seed", 3, "--set", f"data={data / 'dataset.csv'}",
+                      "--set", "grad_norm_every=25"],
+                     ["predict", "--out", pred, "--set", f"train={data / 'dataset.csv'}",
+                      "--set", f"test={data / 'dataset.csv'}", "--set", f"params={fit / 'params.json'}",
+                      "--set", "strategy=nearest"]):
+            subprocess.run([sys.executable, "-m", "gpsgd.cli", *map(str, args)], env=env,
+                           check=True, capture_output=True)
+        header, *rows = (fit / "trace.csv").read_text().splitlines()
+        assert header == "iter,alpha,theta_1,theta_2,grad_norm_sq"
+        outputs[threads] = ((fit / "params.json").read_bytes(),
+                            [row.rsplit(",", 1)[0] for row in rows],
+                            (pred / "predictions.csv").read_bytes())
+    assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("pinned", ["libscipy_openblas-test.so", None])
+def test_summary_names_the_blas_pin(tmp_path, monkeypatch, pinned):
+    monkeypatch.setattr(linalg, "PINNED_BLAS", pinned)
+    out = simulate_small(tmp_path, n=8)
+    lines = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("blas_pin: ")]
+    if pinned is None:
+        assert lines == ["blas_pin: no OpenBLAS found, no pin"]
+    else:
+        assert len(lines) == 1 and lines[0].startswith(f"blas_pin: {pinned} on one thread")
+        assert (f" {linalg.ONE_THREAD_MAX_ORDER_INVERSE} (" in lines[0]
+                and f" {linalg.ONE_THREAD_MAX_ORDER_FACTOR} (" in lines[0])

@@ -280,12 +280,38 @@ def test_csv_names_non_finite_cells(tmp_path, text, where):
 def test_csv_rejects_cells_numpy_cannot_parse(tmp_path, cell):
     # The per-cell reader took these (csv.reader unquotes, float() reads
     # digit separators and other scripts' digits); numpy's parser does not,
-    # so the file is refused, by name, rather than read differently.
+    # so the file is refused, naming the line and column, rather than read
+    # differently.
     path = tmp_path / "bad.csv"
     path.write_text(f"x1,y\n0,1\n{cell},2\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         load_csv(path)
-    assert str(exc.value).startswith(f"{path}")
+    assert str(exc.value) == f"{path}:3: column 1: non-numeric cell {cell!r}"
+
+
+@pytest.mark.parametrize("cell", ["1_000", "１", "١", "\xa01", " 1 ", "1.5\u2003", "+1", "-.5",
+                                  "1e5", "Infinity", "0x10", "1e", "", "1 2"])
+def test_the_line_scan_reads_cells_as_numpy_does(cell):
+    try:
+        np.loadtxt([f"{cell},1"], delimiter=",", comments=None)
+        numpy_reads = True
+    except ValueError:
+        numpy_reads = False
+    try:
+        data._numpy_float(cell)
+        scan_reads = True
+    except ValueError:
+        scan_reads = False
+    assert scan_reads == numpy_reads
+
+
+def test_save_csv_streams_the_bytes_of_one_write(tmp_path):
+    # two chunk boundaries: the bytes equal the whole text joined at once
+    ds = _fuzz_dataset(np.random.default_rng(5), 2 * data.SAVE_CHUNK_ROWS + 1, 2)
+    path = tmp_path / "ds.csv"
+    save_csv(ds, path)
+    rows = (",".join(map(repr, x + [v])) for x, v in zip(ds.X.tolist(), ds.y.tolist()))
+    assert path.read_bytes() == ("\r\n".join(["x1,x2,y", *rows]) + "\r\n").encode()
 
 
 def test_save_csv_replaces_the_target_whole(tmp_path, monkeypatch):
