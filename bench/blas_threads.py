@@ -22,9 +22,9 @@ theta=(4, 1), the CLI's simulate defaults) the calls that
 each on scipy's default thread count and pinned to one thread (the limits
 of linalg, training and prediction set to pin every order or none), in turn, the order reversed on every other repetition.
 A sample is the mean per call over a batch of calls that takes about 20 ms;
-the record is the median of `--reps` samples, in microseconds. Both thread
-counts must give the same bits for `gradient` and `exact_moments` at N up
-to the linalg limits. It also times one enter and exit of a pinning
+the record is the median of `--reps` samples, in microseconds. It also
+records whether the two thread counts give `gradient` and `exact_moments`
+the same bits, and times one enter and exit of a pinning
 `one_blas_thread`.
 
 Studies: `gpsgd experiment` with `vary-m`, `grad-convergence` and
@@ -110,7 +110,7 @@ def sweep(src: str, reps: int) -> dict:
             limit = N if threads == "1" else -1
             training.ONE_THREAD_MAX_ORDER_INVERSE = prediction.ONE_THREAD_MAX_ORDER_FACTOR = limit
             try:
-                with linalg.one_blas_thread(N, limit):
+                with linalg.one_blas_thread(threads == "1"):
                     return calls[call]()
             finally:
                 training.ONE_THREAD_MAX_ORDER_INVERSE = linalg.ONE_THREAD_MAX_ORDER_INVERSE
@@ -129,7 +129,7 @@ def sweep(src: str, reps: int) -> dict:
             print(f"{call} N={N}: {samples[call][N]}", file=sys.stderr)
 
     def pinned_enter_exit():
-        with linalg.one_blas_thread(1, 1):
+        with linalg.one_blas_thread():
             pass
 
     return {

@@ -56,7 +56,7 @@ from .kernels import (
     param_names,
 )
 from . import linalg
-from .linalg import EIG_SIZE_CAP, sym_eigenvalues
+from .linalg import EIG_SIZE_CAP, one_blas_thread, sym_eigenvalues
 from .prediction import PredictStrategy, predict, predict_nn, rmse
 from .sampling import SamplingScheme, SpatialIndex
 from .seeds import derived_seed
@@ -527,7 +527,8 @@ def _blas_pin() -> str:
         return "no OpenBLAS found, no pin"
     return (f"{linalg.PINNED_BLAS} on one thread up to order "
             f"{linalg.ONE_THREAD_MAX_ORDER_INVERSE} (gradient: factor, solve, inverse) and "
-            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (exact moments: factor, triangular pass)")
+            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (exact moments: factor, triangular pass), "
+            f"and for every fit-study repetition")
 
 
 def _write_summary(out: Path, command: str, cfg: dict, started: float, extra: dict) -> None:
@@ -684,14 +685,21 @@ def _fit_tasks(c: dict) -> list[tuple]:
 def _fit_rep(c: dict, task: tuple) -> tuple:
     """One repetition: simulate its data pool and run SGD from the task's
     start. Returns the theta history, the iterations and values of the
-    recorded squared gradient norms, and the clamp and clip counts."""
+    recorded squared gradient norms, and the clamp and clip counts.
+
+    The whole repetition runs on one scipy BLAS thread, in the study's own
+    process and in every `--jobs` worker alike, so the outputs are the same
+    at any `--jobs` and BLAS thread count. Two threads per worker made
+    `--jobs 2` slower than `--jobs 1`: 28 against 13 s for vary-m, 235
+    against 58 s for grad-convergence (2 cores, BENCH_threads.json)."""
     tag, rep, m, theta0, alpha1, every = task
-    data_seed = derived_seed(c["seed"], f"{c['study']}:data", rep)
-    dataset = simulate_gp(c["kernels"], _theta(c, "theta"), c["n"], _input_dist(c),
-                          c["input_dim"], data_seed)
-    fit_seed = derived_seed(c["seed"], f"{c['study']}:{tag}", rep)
-    run_cfg = _sgd_config(c, fit_seed, m=m, alpha1=alpha1, grad_norm_every=every)
-    trace = sgd_fit(dataset, c["kernels"], run_cfg, theta0)
+    with one_blas_thread():
+        data_seed = derived_seed(c["seed"], f"{c['study']}:data", rep)
+        dataset = simulate_gp(c["kernels"], _theta(c, "theta"), c["n"], _input_dist(c),
+                              c["input_dim"], data_seed)
+        fit_seed = derived_seed(c["seed"], f"{c['study']}:{tag}", rep)
+        run_cfg = _sgd_config(c, fit_seed, m=m, alpha1=alpha1, grad_norm_every=every)
+        trace = sgd_fit(dataset, c["kernels"], run_cfg, theta0)
     iters = np.flatnonzero(~np.isnan(trace.grad_norm_sq))
     return (trace.theta, iters, trace.grad_norm_sq[iters],
             trace.clamp_events, trace.clip_events)

@@ -25,7 +25,8 @@ keyed on the matrix order: training.GradientPlan (factor, solve and
 inverse) up to ONE_THREAD_MAX_ORDER_INVERSE = 192, and prediction's exact
 moments (factor and triangular pass) up to ONE_THREAD_MAX_ORDER_FACTOR =
 512, which covers nearest-neighbour prediction at its default 256
-neighbours. The limits come from bench/blas_threads.py's sweep
+neighbours. The CLI's fit studies run each whole repetition under it (see
+cli._fit_rep). The limits come from bench/blas_threads.py's sweep
 (BENCH_threads.json; 2 cores, OpenBLAS 0.3.30, microseconds per call on the
 default 2 threads against 1): a one-column gradient took 693 against 479
 at 128 and 1784 against 1698 at 192, but 3990 against 4849 at 256 (dpotri
@@ -148,16 +149,16 @@ PINNED_BLAS, _get_threads, _set_threads = _scipy_openblas() or (None, None, None
 
 
 class one_blas_thread:
-    """Context that runs scipy's OpenBLAS on one thread for a matrix of
-    order at most `limit`, and restores the thread count it found on exit.
-    Above the limit, or with no scipy OpenBLAS in the process, it does
-    nothing. The count is process-wide: enter it from one Python thread at
-    a time. numpy's own OpenBLAS keeps its threads."""
+    """Context that runs scipy's OpenBLAS on one thread when `pin` is true,
+    and restores the thread count it found on exit. With `pin` false, or
+    with no scipy OpenBLAS in the process, it does nothing. The count is
+    process-wide: enter it from one Python thread at a time. numpy's own
+    OpenBLAS keeps its threads."""
 
     __slots__ = ("_pin", "_threads")
 
-    def __init__(self, order: int, limit: int):
-        self._pin = PINNED_BLAS is not None and order <= limit
+    def __init__(self, pin: bool = True):
+        self._pin = pin and PINNED_BLAS is not None
 
     def __enter__(self) -> None:
         if self._pin:

@@ -256,7 +256,7 @@ class GradientPlan:
 
     def __call__(self, theta: np.ndarray, divisors: np.ndarray, rows=None) -> np.ndarray:
         K, contract = self.covariance_plan(theta, rows)
-        with one_blas_thread(K.shape[0], ONE_THREAD_MAX_ORDER_INVERSE):
+        with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_INVERSE):
             factor = cholesky(K, overwrite=True)
             del K  # its buffer now holds the factor
             alpha = solve(factor, self.Y if rows is None else self.Y[rows])

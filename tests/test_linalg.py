@@ -327,17 +327,20 @@ def test_cg_max_iter_reported():
 
 
 @pytest.mark.skipif(linalg.PINNED_BLAS is None, reason="no scipy OpenBLAS in this process")
-def test_one_blas_thread_pins_up_to_the_limit_and_restores_the_count():
+def test_one_blas_thread_pins_and_restores_the_count():
     found = linalg._get_threads()
     linalg._set_threads(2)
     try:
-        with linalg.one_blas_thread(128, 128):
+        with linalg.one_blas_thread():
+            assert linalg._get_threads() == 1
+            with linalg.one_blas_thread():
+                assert linalg._get_threads() == 1
             assert linalg._get_threads() == 1
         assert linalg._get_threads() == 2
-        with linalg.one_blas_thread(129, 128):
+        with linalg.one_blas_thread(False):
             assert linalg._get_threads() == 2
         with pytest.raises(NotPositiveDefiniteError):
-            with linalg.one_blas_thread(2, 128):
+            with linalg.one_blas_thread():
                 cholesky(-np.eye(2))
         assert linalg._get_threads() == 2
     finally:
@@ -347,5 +350,5 @@ def test_one_blas_thread_pins_up_to_the_limit_and_restores_the_count():
 def test_one_blas_thread_without_a_pool_does_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "PINNED_BLAS", None)
     monkeypatch.setattr(linalg, "_set_threads", None)   # a call would raise
-    with linalg.one_blas_thread(1, 128):
+    with linalg.one_blas_thread():
         assert np.array_equal(cholesky(np.eye(2)).lower, np.eye(2))
