@@ -527,7 +527,7 @@ def _blas_pin() -> str:
         return "no OpenBLAS found, no pin"
     return (f"{linalg.PINNED_BLAS} on one thread up to order "
             f"{linalg.ONE_THREAD_MAX_ORDER_INVERSE} (gradient: factor, solve, inverse) and "
-            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (exact moments: factor, triangular pass), "
+            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (exact-moments factor), "
             f"and for every fit-study repetition")
 
 

@@ -23,19 +23,21 @@ scipy_openblas_set_num_threads, found once at import in /proc/self/maps;
 without one the context does nothing. Two callers enter it once per call,
 keyed on the matrix order: training.GradientPlan (factor, solve and
 inverse) up to ONE_THREAD_MAX_ORDER_INVERSE = 192, and prediction's exact
-moments (factor and triangular pass) up to ONE_THREAD_MAX_ORDER_FACTOR =
+moments' factor up to ONE_THREAD_MAX_ORDER_FACTOR =
 512, which covers nearest-neighbour prediction at its default 256
 neighbours. The CLI's fit studies run each whole repetition under it (see
 cli._fit_rep). The limits come from bench/blas_threads.py's sweep
 (BENCH_threads.json; 2 cores, OpenBLAS 0.3.30, microseconds per call on the
-default 2 threads against 1): a one-column gradient took 693 against 479
-at 128 and 1784 against 1698 at 192, but 3990 against 4849 at 256 (dpotri
-alone crosses between 160 and 192); the exact moments took 819 against 727
-at 256 and 4405 against 3926 at 512, but 8113 against 9303 at 640. Below
-its limit a call gives the same bits at any thread count; unpinned, the
-gradient's dpotri differs in the last bits between 1 and 2 threads at
-every order swept, from 16 up. Entering and leaving the context costs
-about 2.4 us. Larger orders, CG and the eigensolver keep every thread.
+default 2 threads against 1): a one-column gradient took 573 against 447
+at 128 and 2365 against 1758 at 192, but 3006 against 3186 at 224 and 2737
+against 2866 at 256 (dpotri alone crosses between 128 and 160); dpotrf took
+745 against 642 at 256 and 2934 against 2873 at 512, but 4922 against 4958
+at 640. A pinned factor, solve or inverse gives the same bits at any thread
+count; unpinned, the gradient's dpotri differs in the last bits between 1
+and 2 threads at every order swept, from 16 up, and dpotrf from 128.
+Entering and leaving the context costs about 1.2 us. Larger orders, the
+exact moments' triangular pass, CG and the eigensolver keep every
+thread.
 
 The factor, the solves and the inverse call LAPACK's dpotrf, dtrtrs and
 dpotri through handles fetched once at import. They make the same LAPACK
@@ -115,7 +117,7 @@ PRECONDITIONER_MAX_RANK = 300
 PRECONDITIONER_STOP = 1e-6
 # The largest matrix orders at which scipy's OpenBLAS runs on one thread (see
 # one_blas_thread): a factor, solve and inverse (dpotri's crossover), and a
-# factor and triangular pass (dpotrf's). From bench/blas_threads.py's sweep.
+# factor alone (dpotrf's). From bench/blas_threads.py's sweep.
 ONE_THREAD_MAX_ORDER_INVERSE = 192
 ONE_THREAD_MAX_ORDER_FACTOR = 512
 

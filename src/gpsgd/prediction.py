@@ -130,11 +130,14 @@ def _exact_moments(K, y, k_star):
     """Mean and k*^T K^-1 k* per test point from one forward pass
     W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k.
     Up to ONE_THREAD_MAX_ORDER_FACTOR training points (every nearest
-    neighbourhood at the default k=256) it runs on one scipy BLAS thread."""
+    neighbourhood at the default k=256) the factor runs on one scipy BLAS
+    thread. The triangular pass keeps every thread: over 2000 test points
+    at n=500 it took 41 against 30 ms on one thread (2 cores)."""
     with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_FACTOR):
-        W = forward_solve(cholesky(K, overwrite=True), np.column_stack((y, k_star)))
-        w_y, W_k = W[:, 0], W[:, 1:]
-        return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
+        factor = cholesky(K, overwrite=True)
+    W = forward_solve(factor, np.column_stack((y, k_star)))
+    w_y, W_k = W[:, 0], W[:, 1:]
+    return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
 
 
 def _variance(theta: HyperParams, quad: np.ndarray) -> np.ndarray:
