@@ -20,8 +20,8 @@ theta=(4, 1), the CLI's simulate defaults) the calls that
   call `predict_nn` makes per test point;
 
 each on scipy's default thread count and pinned to one thread (the limits
-of linalg, training and prediction set to pin every order or none), in turn, the order reversed on every other repetition.
-A sample is the mean per call over a batch of calls that takes about 20 ms;
+of linalg, training and prediction set to pin every order or none), in
+turn, the order reversed on every other repetition. A sample is the mean per call over a batch of calls that takes about 20 ms;
 the record is the median of `--reps` samples, in microseconds. It also
 records whether the two thread counts give `gradient` and `exact_moments`
 the same bits, and times one enter and exit of a pinning
@@ -97,7 +97,8 @@ def sweep(src: str, reps: int) -> dict:
         plan = training.GradientPlan(kernels, theta, X, y)
         vec = theta.to_vector()
         x_star = rng.normal(0.0, 5.0, size=(1, 1))
-        k_star = kernels_module.CovariancePlan(kernels, theta, X, x_star).covariance(vec, cols=slice(None))
+        k_star = kernels_module.CovariancePlan(kernels, theta, X, x_star).covariance(
+            vec, cols=slice(None))
         calls = {
             "dpotrf": lambda: linalg.cholesky(K.copy(), overwrite=True),
             "dpotri": lambda: linalg.inverse(linalg.CholeskyFactor(L.copy(order="F"))),

@@ -5,8 +5,9 @@ Configuration is a flat JSON document merged with `--set key=value` overrides
 (flags win); unknown keys are rejected. Every key has a default, a type and a
 range in one table, `KEYS`; every value and the rules that tie keys together
 are checked before any work. Every run writes a `summary.txt` with the
-resolved-config hash, the elapsed time and the BLAS thread pin. Output CSVs contain no wall-clock
-columns, so a rerun with the same config and seed is byte-identical.
+resolved-config hash, the elapsed time and the BLAS thread pin. Output CSVs
+contain no wall-clock columns, so a rerun with the same config and seed is
+byte-identical.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage/config error.
 """

@@ -6,9 +6,9 @@ written with shortest round-trip formatting so load(save(ds)) is bit exact.
 
 save_csv writes through a temporary file renamed onto the target, so an
 interrupted write leaves no truncated dataset, and formats the rows a chunk
-at a time. load_csv parses the rows in
-one numpy loadtxt pass; only a file that fails it or its checks is scanned
-line by line, to name the first bad line and column.
+at a time. load_csv parses the rows in one numpy loadtxt pass; only a file
+that fails it or its checks is scanned line by line, to name the first bad
+line and column by numpy's own rule for a cell.
 """
 
 from __future__ import annotations

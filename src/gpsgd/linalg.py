@@ -17,16 +17,16 @@ scipy's BLAS too (see the CG matvec and the predictive mean in prediction).
 At the orders of a small batch, scipy's OpenBLAS loses more to its threads
 than they gain, and its threaded dpotrf and dpotri give other last bits
 than one thread does. `one_blas_thread` runs scipy's pool on one thread for
-one call and restores the count after; numpy's pool is left alone, since
-nothing here runs on it. The pool is the mapped library that exports
+one call and restores the count after; numpy's pool is left alone, as no
+factorization or solve runs on it. The pool is the mapped library that exports
 scipy_openblas_set_num_threads, found once at import in /proc/self/maps;
 without one the context does nothing. Two callers enter it once per call,
 keyed on the matrix order: training.GradientPlan (factor, solve and
-inverse) up to ONE_THREAD_MAX_ORDER_INVERSE = 192, and prediction's exact
-moments' factor up to ONE_THREAD_MAX_ORDER_FACTOR =
-512, which covers nearest-neighbour prediction at its default 256
-neighbours. The CLI's fit studies run each whole repetition under it (see
-cli._fit_rep). The limits come from bench/blas_threads.py's sweep
+inverse) up to ONE_THREAD_MAX_ORDER_INVERSE = 192, and the factor of
+prediction's exact moments up to ONE_THREAD_MAX_ORDER_FACTOR = 512, which
+covers nearest-neighbour prediction at its default 256 neighbours. The
+CLI's fit studies run each whole repetition under it (see cli._fit_rep).
+The limits come from bench/blas_threads.py's sweep
 (BENCH_threads.json; 2 cores, OpenBLAS 0.3.30, microseconds per call on the
 default 2 threads against 1): a one-column gradient took 573 against 447
 at 128 and 2365 against 1758 at 192, but 3006 against 3186 at 224 and 2737

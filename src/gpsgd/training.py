@@ -238,9 +238,9 @@ class GradientPlan:
     whole block; each column then costs one contraction. The factor, solve
     and inverse of at most ONE_THREAD_MAX_ORDER_INVERSE rows run on one
     scipy BLAS thread (linalg.one_blas_thread), so a batch gradient has the
-    same bits at any BLAS thread count. The last column
-    subtracts a a^T from the inverse in place, so a one-column block makes
-    no copy of it: the full gradient runs at n in the thousands.
+    same bits at any BLAS thread count. The last column subtracts a a^T
+    from the inverse in place, so a one-column block makes no copy of it:
+    the full gradient runs at n in the thousands.
     """
 
     def __init__(self, kernels: MultiKernel, theta: HyperParams, X: np.ndarray, Y: np.ndarray):

@@ -665,8 +665,8 @@ def test_small_factorizations_give_the_same_bits_at_any_blas_thread_count(tmp_pa
         for args in (["fit", "--out", fit, "--seed", 3, "--set", f"data={data / 'dataset.csv'}",
                       "--set", "grad_norm_every=25"],
                      ["predict", "--out", pred, "--set", f"train={data / 'dataset.csv'}",
-                      "--set", f"test={data / 'dataset.csv'}", "--set", f"params={fit / 'params.json'}",
-                      "--set", "strategy=nearest"]):
+                      "--set", f"test={data / 'dataset.csv'}",
+                      "--set", f"params={fit / 'params.json'}", "--set", "strategy=nearest"]):
             subprocess.run([sys.executable, "-m", "gpsgd.cli", *map(str, args)], env=env,
                            check=True, capture_output=True)
         header, *rows = (fit / "trace.csv").read_text().splitlines()
