@@ -5,6 +5,10 @@ for two checkouts of the repository.
         [--workload predict-n6000 --workload fit-sgd-uniform] [--reps 5] [--seed 7] \
         [--out BENCH_inplace_factor.json]
 
+It wrote BENCH_inplace_factor.json (the factor in K's own buffer) and
+BENCH_triangle.json (the upper-only K and the factor without the clean
+pass).
+
 Split: `--reps` times, the checkouts' order reversed on every other
 repetition, a fresh process per checkout imports gpsgd from its `src`,
 warms up on a small call and times one exact `predict` on case `n6000` of
@@ -13,17 +17,27 @@ points, theta=(1, 0.1)), with a timer on each layer that
 `gpsgd.prediction` calls:
 
 * `k_star_s`: `CovariancePlan.covariance` with columns, the 6000 x 256 k*;
-* `K_s`: `CovariancePlan.covariance` without, the 6000 x 6000 K;
+* `K_s`: `CovariancePlan.covariance` without, the 6000 x 6000 K, whole
+  or its upper triangle alone (`K_upper_only`, the `upper_only` the
+  checkout passes);
 * `finite_s`: `np.isfinite(K).all()`, the check `cholesky` makes first,
   timed once more on the K that `cholesky` gets, just before the call;
 * `dpotrf_s`: `cholesky`'s time less `finite_s`, so the dpotrf call with
-  any copy of K that f2py makes for it;
+  any copy of K that f2py makes for it, and scipy's clean pass if the
+  checkout asks for it (`factor_clean`, the `clean` it passes, True when
+  it passes none);
 * `triangular_s`: `forward_solve`, one dtrtrs pass over [y | k*];
 * `rest_s`: the rest of the call.
 
 `total_s` is the call's time less the extra finiteness check, and
 `peak_rss_mb` the process's peak resident set. The predictions of the two
 checkouts must be equal bit for bit, or the script fails.
+
+After the call, `clean_pass_s` times scipy's clean pass alone, the same on
+both sides: dpotrf with `clean=1` less dpotrf with `clean=0`, the faster of
+3 each, on an n x n matrix whose first pivot is negative, so that dpotrf
+stops at once and the clean pass, which runs whatever dpotrf returns, is
+all that differs.
 
 Pairs: `pairs` of bench/parallel_assembly.py, `perfbench/run.py --trace 0`
 on each checkout per seed, the side that runs first alternating.
@@ -51,6 +65,7 @@ from assembly import _blas_libraries, _case_inputs, _revision  # noqa: E402
 from parallel_assembly import _quartiles, pairs  # noqa: E402
 
 STEPS = ("k_star_s", "K_s", "finite_s", "dpotrf_s", "triangular_s", "rest_s", "total_s")
+FLAGS = ("K_upper_only", "factor_clean")
 
 
 def child(seed: int) -> dict:
@@ -61,6 +76,7 @@ def child(seed: int) -> dict:
 
     kernels, theta, X, y, X_test = _case_inputs(g, "n6000", seed)
     spent = dict.fromkeys(STEPS, 0.0)
+    flags = {}
     covariance, cholesky, forward_solve = (prediction.CovariancePlan.covariance,
                                            prediction.cholesky, prediction.forward_solve)
 
@@ -73,11 +89,14 @@ def child(seed: int) -> dict:
                 spent[step] += time.perf_counter() - t0
         return wrapper
 
-    def timed_covariance(plan, theta_vec, rows=None, cols=None):
+    def timed_covariance(plan, theta_vec, rows=None, cols=None, **kwargs):
+        if cols is None:
+            flags["K_upper_only"] = kwargs.get("upper_only", False)
         step = "K_s" if cols is None else "k_star_s"
-        return timed(step, covariance)(plan, theta_vec, rows, cols)
+        return timed(step, covariance)(plan, theta_vec, rows, cols, **kwargs)
 
     def timed_cholesky(K, *args, **kwargs):
+        flags["factor_clean"] = kwargs.get("clean", True)
         t0 = time.perf_counter()
         np.isfinite(K).all()
         spent["finite_s"] += time.perf_counter() - t0
@@ -96,11 +115,30 @@ def child(seed: int) -> dict:
     spent["total_s"] = total
     return {
         **spent,
+        "clean_pass_s": _clean_pass(X.shape[0]),
+        **flags,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "prediction_sha256": hashlib.sha256(result.mean.tobytes()
                                             + result.variance.tobytes()).hexdigest(),
         "blas": _blas_libraries(),
     }
+
+
+def _clean_pass(n: int) -> float:
+    """Seconds of scipy's dpotrf clean pass on an n x n matrix, alone."""
+    import numpy as np
+    import scipy.linalg
+
+    potrf = scipy.linalg.get_lapack_funcs("potrf", dtype=np.float64)
+    A = np.zeros((n, n), order="F")
+    A[0, 0] = -1.0
+    best = {}
+    for clean in (1, 0) * 3:
+        t0 = time.perf_counter()
+        _, info = potrf(A, lower=1, clean=clean, overwrite_a=1)
+        best[clean] = min(best.get(clean, np.inf), time.perf_counter() - t0)
+        assert info == 1
+    return best[1] - best[0]
 
 
 def split(trees: dict[str, Path], reps: int, seed: int) -> dict:
@@ -117,13 +155,14 @@ def split(trees: dict[str, Path], reps: int, seed: int) -> dict:
             print(f"split rep {rep} {side}: {samples[side][-1]['total_s']:.3f} s", file=sys.stderr)
     if len({s["prediction_sha256"] for runs in samples.values() for s in runs}) != 1:
         raise SystemExit("the checkouts' predictions differ")
-    keys = (*STEPS, "peak_rss_mb")
+    keys = (*STEPS, "clean_pass_s", "peak_rss_mb")
     return {
         "what": "one exact predict at n=6000, D=4, 256 test points (bench/assembly.py case "
                 "n6000): seconds per step and the process's peak RSS, median and quartiles "
                 "over fresh processes; the predictions equal bit for bit on both sides",
         "reps": reps,
         "seed": seed,
+        "options": {side: {f: runs[0][f] for f in FLAGS} for side, runs in samples.items()},
         "median": {side: {k: round(statistics.median(s[k] for s in runs), 4) for k in keys}
                    for side, runs in samples.items()},
         "quartiles": {side: {k: _quartiles([s[k] for s in runs]) for k in keys}

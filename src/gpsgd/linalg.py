@@ -65,6 +65,15 @@ points fell from 2.56 to 1.94 s, its dpotrf step from 1.82 to 1.19 s, and
 its process's peak RSS from 678 to 404 MB (medians of 5 processes a side,
 BENCH_inplace_factor.json).
 
+dpotrf writes L into one triangle and leaves the other as it found it.
+scipy's `clean=1` pass then zeroes that other triangle, and `inverse`
+needs it zeroed: potri keeps it, and inverse's `inv + inv.T` reads it, as
+does a dense `factor.lower @ z`. The triangular solves and `log_det` do
+not read it. So the exact moments of prediction, which use the factor only
+through `forward_solve`, factor with `clean=False` an upper-only K
+(kernels), whose other triangle is already zero; the gradient, the
+simulation's draw and the diagnostics keep the clean factor.
+
 `cg_solve` takes a vector or an n x r block, whose columns run as
 independent recurrences with one operator product per iteration and a
 stopping test each, and an optional preconditioner. For a GP covariance
@@ -201,7 +210,7 @@ class CGResult:
     residual: float | np.ndarray
 
 
-def cholesky(K: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
+def cholesky(K: np.ndarray, overwrite: bool = False, clean: bool = True) -> CholeskyFactor:
     """Factor a symmetric positive definite matrix as K = L L^T.
 
     K goes to dpotrf as `_lapack_order(K)`: a C-ordered K as K.T, so the
@@ -209,6 +218,17 @@ def cholesky(K: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
     `overwrite_a`) a contiguous K is factored in its own buffer, which then
     holds L and must not be used again, also when the factor fails; without
     it K is left unchanged.
+
+    With `clean` (scipy's `clean=1`) the strict upper triangle of `lower` is
+    zeroed after dpotrf, a strided pass that took 135 ms at n=6000, 20 us
+    at 128 (bench/inplace_factor.py's `clean_pass_s`, 2 cores, OpenBLAS
+    0.3.30). With `clean=False` it is skipped, and
+    the strict upper triangle of `lower` holds what K held there: for a
+    C-ordered K, its strict lower triangle transposed, which is zero for an
+    upper-only K (kernels.CovariancePlan.covariance) of more than one tile.
+    Only triangle readers may take such a factor: `forward_solve`, `solve`,
+    `two_sided_solve` and `log_det` read L's lower triangle alone, while
+    `inverse` and a dense `factor.lower @ z` read the whole array.
 
     Raises NotPositiveDefiniteError if K has a non-finite entry or a
     non-positive pivot. The entries are checked through their sum, which is
@@ -226,7 +246,7 @@ def cholesky(K: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
             f"{K.shape[0]}x{K.shape[0]} matrix has {bad.shape[0]} non-finite entries, "
             f"the first at {tuple(int(i) for i in bad[0])}"
         )
-    lower, info = _potrf(_lapack_order(K), lower=1, clean=1, overwrite_a=int(overwrite))
+    lower, info = _potrf(_lapack_order(K), lower=1, clean=int(clean), overwrite_a=int(overwrite))
     if info > 0:
         raise NotPositiveDefiniteError(
             f"Cholesky failed for {K.shape[0]}x{K.shape[0]} matrix: "
@@ -240,8 +260,10 @@ def cholesky(K: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
 def inverse(factor: CholeskyFactor) -> np.ndarray:
     """K^-1 from the Cholesky factor of K (LAPACK potri), exactly symmetric.
 
-    potri works in the factor's own buffer, so the factor must not be used
-    again; a caller that drops it holds two n x n arrays here, not three.
+    The factor must be clean (`cholesky`'s default): the strict upper
+    triangle of its array must be zero, as the sum below reads it. potri
+    works in the factor's own buffer, so the factor must not be used again;
+    a caller that drops it holds two n x n arrays here, not three.
     """
     inv, info = _potri(factor.lower, lower=1, overwrite_c=1)
     if info != 0:

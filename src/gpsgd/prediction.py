@@ -71,11 +71,14 @@ class PredictionResult:
 
 
 def _as_inputs(X_train, y_train, X_test):
-    """The training responses, which must be finite, and the test inputs. A
-    1-D test array is one point when the training points have several
-    dimensions; the covariance plan reads any other 1-D array as
-    one-dimensional points."""
+    """The training responses, which must be finite and one per training
+    row, and the test inputs. A 1-D test array is one point when the
+    training points have several dimensions; the covariance plan reads any
+    other 1-D array as one-dimensional points."""
     y_train = np.asarray(y_train, dtype=np.float64)
+    if y_train.shape != np.shape(X_train)[:1]:
+        raise ValueError(f"y_train has shape {y_train.shape} for X_train of shape "
+                         f"{np.shape(X_train)}: expected one response per training row")
     if not np.all(np.isfinite(y_train)):
         raise ValueError("y_train has non-finite entries")
     X_test = np.asarray(X_test, dtype=np.float64)
@@ -108,7 +111,7 @@ def predict(
         raise ValueError("use predict_nn for nearest-neighbor prediction")
     vec = theta.to_vector()
     k_star = plan.covariance(vec, cols=slice(None))
-    K = plan.covariance(vec)
+    K = plan.covariance(vec, upper_only=strategy == PredictStrategy.EXACT)
     try:
         if strategy == PredictStrategy.EXACT:
             mean, quad = _exact_moments(K, y_train, k_star)
@@ -129,12 +132,18 @@ def _naming_theta(exc: Exception, strategy: PredictStrategy, vec: np.ndarray, po
 def _exact_moments(K, y, k_star):
     """Mean and k*^T K^-1 k* per test point from one forward pass
     W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k.
+    K is factored in its own buffer, which it must not be used from again.
+    Only its upper triangle is read, so callers pass the upper-only K of
+    kernels.CovariancePlan.covariance (a mirrored K gives the same bits);
+    and since only the triangular pass reads the factor, dpotrf's clean
+    pass is skipped (linalg.cholesky's `clean`); BENCH_triangle.json
+    splits what the two save on the exact predict at n=6000.
     Up to ONE_THREAD_MAX_ORDER_FACTOR training points (every nearest
     neighbourhood at the default k=256) the factor runs on one scipy BLAS
     thread. The triangular pass keeps every thread: over 2000 test points
     at n=500 it took 41 against 30 ms on one thread (2 cores)."""
     with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_FACTOR):
-        factor = cholesky(K, overwrite=True)
+        factor = cholesky(K, overwrite=True, clean=False)
     W = forward_solve(factor, np.column_stack((y, k_star)))
     w_y, W_k = W[:, 0], W[:, 1:]
     return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
@@ -219,7 +228,8 @@ def predict_nn(
     vec = theta.to_vector()
     mean, quad = np.empty((2, plan.X2.shape[0]))
     for t, rows in enumerate(index.query_many(plan.X2, n_neighbors)):
-        K, k_star = plan.covariance(vec, rows), plan.covariance(vec, rows, slice(t, t + 1))
+        K = plan.covariance(vec, rows, upper_only=True)
+        k_star = plan.covariance(vec, rows, slice(t, t + 1))
         try:
             mean[t:t + 1], quad[t:t + 1] = _exact_moments(K, y_train[rows], k_star)
         except NotPositiveDefiniteError as exc:

@@ -340,6 +340,31 @@ def test_parallel_assembly_bit_identical_to_serial(monkeypatch, workers, n):
         assert np.array_equal(parallel[name], want), name
 
 
+UPPER_CASES = ("rbf-d4", "rbf+matern", "learned-lengthscales")
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("n", [16, 128, 129, 300])
+@pytest.mark.parametrize("case", UPPER_CASES)
+def test_upper_only_covariance_is_the_upper_triangle_bit_for_bit(monkeypatch, case, n, threaded):
+    kernels, theta, dim = TILED_CASES[case]
+    X = np.random.default_rng(n).normal(size=(n, dim)) * 3
+    rows = np.random.default_rng(n + 1).permutation(n)[: n - n // 5]   # a neighbourhood's rows
+    plan = CovariancePlan(kernels, theta, X)
+    v = theta.to_vector()
+    mirrored = [plan.covariance(v), plan.covariance(v, rows)]
+    if threaded:
+        _force_threads(monkeypatch, 2)
+    upper = [plan.covariance(v, upper_only=True), plan.covariance(v, rows, upper_only=True)]
+    for got, want in zip(upper, mirrored):
+        if got.shape[0] <= kernels_module._TILE:   # one tile: returned whole
+            assert np.array_equal(got, want)
+        else:
+            assert np.array_equal(got, np.triu(want))
+            assert not np.tril(got, -1).any()
+        assert got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
 def test_per_dimension_fill_equals_broadcast_difference(dim):
     rng = np.random.default_rng(dim)

@@ -89,6 +89,30 @@ def test_factor_solves_and_inverse_match_scipy_bit_for_bit(n):
     assert got.flags.c_contiguous
 
 
+@pytest.mark.parametrize("n", [1, 16, 128, 129, 300])
+@pytest.mark.parametrize("upper_only", [False, True])
+def test_unclean_factor_reads_as_the_clean_one_bit_for_bit(n, upper_only):
+    # dpotrf with clean=0 leaves the strict upper triangle as K held it: for
+    # the upper-only K of prediction that is zero, for a full K its mirror.
+    # The triangle readers must not see it.
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-2.0, 2.0, size=(n, 4))
+    K = kernel_matrix(KernelSpec.rbf((1.0, 0.7, 1.3, 0.9)), X) + 0.1 * np.eye(n)
+    clean = cholesky(K)
+    given = np.triu(K) if upper_only else K.copy()
+    unclean = cholesky(given, overwrite=True, clean=False)
+    assert np.shares_memory(unclean.lower, given)
+    assert np.array_equal(np.tril(unclean.lower), clean.lower)
+    assert np.array_equal(np.triu(unclean.lower, 1), np.tril(given, -1).T)
+    assert log_det(unclean) == log_det(clean)
+    D = rng.normal(size=(n, n))
+    D += D.T
+    assert np.array_equal(two_sided_solve(unclean, D), two_sided_solve(clean, D))
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        assert np.array_equal(forward_solve(unclean, b), forward_solve(clean, b))
+        assert np.array_equal(solve(unclean, b), solve(clean, b))
+
+
 def _layouts(n):
     """A symmetric positive definite matrix in each memory layout the
     factor and the eigensolve take: C order, Fortran order, 1 x 1 and a

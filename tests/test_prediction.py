@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dgemv
 
 from gpsgd import (
     Gaussian,
@@ -23,8 +24,9 @@ from gpsgd import (
     train_test_split,
 )
 from gpsgd import prediction
-from gpsgd.kernels import cross_kernel_matrix, marginal_covariance
-from gpsgd.linalg import NotPositiveDefiniteError, cg_solve, cholesky, solve
+from gpsgd.kernels import CovariancePlan, cross_kernel_matrix, marginal_covariance
+from gpsgd.linalg import (ONE_THREAD_MAX_ORDER_FACTOR, NotPositiveDefiniteError, cg_solve, cholesky,
+                          forward_solve, one_blas_thread, solve)
 from gpsgd.prediction import CGConvergenceError
 from gpsgd.seeds import component_rng
 
@@ -185,6 +187,58 @@ def test_exact_predict_holds_one_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n
+
+
+def _reference_moments(theta, kernels, X, y, x_star):
+    """Mean and variance from the mirrored K, the clean factor (on one BLAS
+    thread up to the order predict pins at) and one forward pass."""
+    plan = CovariancePlan(kernels, theta, X, x_star)
+    v = theta.to_vector()
+    K = plan.covariance(v)
+    assert np.array_equal(K, K.T)
+    with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_FACTOR):
+        factor = cholesky(K)
+    W = forward_solve(factor, np.column_stack((y, plan.covariance(v, cols=slice(None)))))
+    mean = dgemv(1.0, W[:, 1:], W[:, 0], trans=1)
+    quad = np.einsum("ij,ij->j", W[:, 1:], W[:, 1:])
+    return mean, np.maximum(sum(theta.signal_variances) - quad, 0.0)
+
+
+TRIANGLE_KERNELS = MultiKernel((KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0)))
+TRIANGLE_THETA = HyperParams((3.0, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("n", [100, 300, 700])
+def test_exact_predict_equals_the_mirrored_clean_reference_bit_for_bit(n):
+    ds = simulate_gp(TRIANGLE_KERNELS, TRIANGLE_THETA, n, Gaussian(5.0), 1, seed=n)
+    X_test = component_rng(n, "triangle-test").normal(0, 5.0, size=(20, 1))
+    got = predict(TRIANGLE_THETA, TRIANGLE_KERNELS, ds.X, ds.y, X_test,
+                  strategy=PredictStrategy.EXACT)
+    mean, variance = _reference_moments(TRIANGLE_THETA, TRIANGLE_KERNELS, ds.X, ds.y, X_test)
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.variance, variance)
+
+
+@pytest.mark.parametrize("n_neighbors", [100, 150, 256])
+def test_predict_nn_equals_the_mirrored_clean_reference_bit_for_bit(n_neighbors):
+    ds = simulate_gp(TRIANGLE_KERNELS, TRIANGLE_THETA, 400, Gaussian(5.0), 1, seed=41)
+    X_test = component_rng(42, "triangle-nn").normal(0, 5.0, size=(6, 1))
+    index = build_index(ds.X)
+    got = predict_nn(TRIANGLE_THETA, TRIANGLE_KERNELS, ds.X, ds.y, X_test, n_neighbors, index)
+    for t, rows in enumerate(index.query_many(X_test, n_neighbors)):
+        mean, variance = _reference_moments(TRIANGLE_THETA, TRIANGLE_KERNELS, ds.X[rows],
+                                            ds.y[rows], X_test[t:t + 1])
+        assert got.mean[t] == mean[0] and got.variance[t] == variance[0]
+
+
+@pytest.mark.parametrize("strategy", [PredictStrategy.EXACT, PredictStrategy.CG, None])
+@pytest.mark.parametrize("y_shape", [(19,), (21,), (20, 1)])
+def test_responses_must_be_one_per_training_row(strategy, y_shape):
+    X, _ = _training_fixture()
+    y = np.zeros(y_shape)
+    message = re.escape(f"y_train has shape {y_shape} for X_train of shape (20, 1)")
+    with pytest.raises(ValueError, match=message):
+        _predict_with(strategy, HyperParams((2.0,), 0.5), MK, X, y, X[:3])
 
 
 @pytest.mark.parametrize("strategy", [PredictStrategy.EXACT, PredictStrategy.CG, None])
