@@ -66,12 +66,12 @@ its process's peak RSS from 678 to 404 MB (medians of 5 processes a side,
 BENCH_inplace_factor.json).
 
 dpotrf writes L into one triangle and leaves the other as it found it.
-scipy's `clean=1` pass then zeroes that other triangle, and `inverse`
-needs it zeroed: potri keeps it, and inverse's `inv + inv.T` reads it, as
-does a dense `factor.lower @ z`. The triangular solves and `log_det` do
-not read it. So the exact moments of prediction, which use the factor only
-through `forward_solve`, factor with `clean=False` an upper-only K
-(kernels), whose other triangle is already zero; the gradient, the
+scipy's `clean=1` pass then zeroes that other triangle. `inverse` needs it
+zeroed, since potri keeps it and `inv + inv.T` reads it, and so does a
+dense `factor.lower @ z`; the triangular solves and `log_det` never read
+it. The exact moments of prediction use the factor only through
+`forward_solve`, so they factor an upper-only K (see kernels), whose other
+triangle is already zero, with `clean=False`. The gradient, the
 simulation's draw and the diagnostics keep the clean factor.
 
 `cg_solve` takes a vector or an n x r block, whose columns run as
@@ -220,12 +220,12 @@ def cholesky(K: np.ndarray, overwrite: bool = False, clean: bool = True) -> Chol
     it K is left unchanged.
 
     With `clean` (scipy's `clean=1`) the strict upper triangle of `lower` is
-    zeroed after dpotrf, a strided pass that took 135 ms at n=6000, 20 us
-    at 128 (bench/inplace_factor.py's `clean_pass_s`, 2 cores, OpenBLAS
-    0.3.30). With `clean=False` it is skipped, and
-    the strict upper triangle of `lower` holds what K held there: for a
-    C-ordered K, its strict lower triangle transposed, which is zero for an
-    upper-only K (kernels.CovariancePlan.covariance) of more than one tile.
+    zeroed after dpotrf, a strided pass that took 135 ms at n=6000 and
+    20 us at 128 on a 2-core host (bench/inplace_factor.py's
+    `clean_pass_s`). With `clean=False` it is skipped, and the strict upper
+    triangle of `lower` holds what K held there: for a C-ordered K, its
+    strict lower triangle transposed, which is zero for an upper-only K
+    (kernels.CovariancePlan.covariance) of more than one tile.
     Only triangle readers may take such a factor: `forward_solve`, `solve`,
     `two_sided_solve` and `log_det` read L's lower triangle alone, while
     `inverse` and a dense `factor.lower @ z` read the whole array.

@@ -132,12 +132,12 @@ def _naming_theta(exc: Exception, strategy: PredictStrategy, vec: np.ndarray, po
 def _exact_moments(K, y, k_star):
     """Mean and k*^T K^-1 k* per test point from one forward pass
     W = L^-1 [y | k*]: k*^T K^-1 y = W_k^T w_y and k*^T K^-1 k* = W_k^T W_k.
-    K is factored in its own buffer, which it must not be used from again.
-    Only its upper triangle is read, so callers pass the upper-only K of
-    kernels.CovariancePlan.covariance (a mirrored K gives the same bits);
-    and since only the triangular pass reads the factor, dpotrf's clean
-    pass is skipped (linalg.cholesky's `clean`); BENCH_triangle.json
-    splits what the two save on the exact predict at n=6000.
+    K is factored in its own buffer and must not be used again. Only its
+    upper triangle is read, so callers pass the upper-only K of
+    kernels.CovariancePlan.covariance (a mirrored K gives the same bits).
+    Only the triangular pass reads the factor, so dpotrf's clean pass is
+    skipped (linalg.cholesky's `clean`). BENCH_triangle.json splits what
+    the two save on the exact predict at n=6000.
     Up to ONE_THREAD_MAX_ORDER_FACTOR training points (every nearest
     neighbourhood at the default k=256) the factor runs on one scipy BLAS
     thread. The triangular pass keeps every thread: over 2000 test points
