@@ -19,13 +19,13 @@ theta=(4, 1), the CLI's simulate defaults) the calls that
 * `exact_moments`: `prediction._exact_moments` with one test column, the
   call `predict_nn` makes per test point;
 
-each on scipy's default thread count and pinned to one thread (the limits
-of linalg, training and prediction set to pin every order or none), in
-turn, the order reversed on every other repetition. A sample is the mean per call over a batch of calls that takes about 20 ms;
-the record is the median of `--reps` samples, in microseconds. It also
-records whether the two thread counts give `gradient` and `exact_moments`
-the same bits, and times one enter and exit of a pinning
-`one_blas_thread`.
+each on scipy's default thread count and pinned to one thread (linalg's
+two limits set to pin every order or none), in turn, the order reversed on
+every other repetition. A sample is the mean per call over a batch of calls
+that takes about 20 ms; the record is the median of `--reps` samples, in
+microseconds. It also records whether the two thread counts give
+`gradient` and `exact_moments` the same bits, and times one enter and exit
+of a pinning `one_blas_thread`.
 
 Studies: `gpsgd experiment` with `vary-m`, `grad-convergence` and
 `param-convergence` at their defaults and `--seed`, `--reps` times at
@@ -89,6 +89,7 @@ def sweep(src: str, reps: int) -> dict:
     rng = np.random.default_rng(7)
     samples: dict = {}
     same_bits: dict = {}
+    limits = linalg.ONE_THREAD_MAX_ORDER_INVERSE, linalg.ONE_THREAD_MAX_ORDER_FACTOR
     for N in ORDERS:
         X = rng.normal(0.0, 5.0, size=(N, 1))
         y = rng.normal(size=N)
@@ -107,15 +108,14 @@ def sweep(src: str, reps: int) -> dict:
         }
 
         def run(call, threads):
-            # the callers' own limits, set to pin every order or none
+            # linalg's limits, set to pin every order or none
             limit = N if threads == "1" else -1
-            training.ONE_THREAD_MAX_ORDER_INVERSE = prediction.ONE_THREAD_MAX_ORDER_FACTOR = limit
+            linalg.ONE_THREAD_MAX_ORDER_INVERSE = linalg.ONE_THREAD_MAX_ORDER_FACTOR = limit
             try:
                 with linalg.one_blas_thread(threads == "1"):
                     return calls[call]()
             finally:
-                training.ONE_THREAD_MAX_ORDER_INVERSE = linalg.ONE_THREAD_MAX_ORDER_INVERSE
-                prediction.ONE_THREAD_MAX_ORDER_FACTOR = linalg.ONE_THREAD_MAX_ORDER_FACTOR
+                linalg.ONE_THREAD_MAX_ORDER_INVERSE, linalg.ONE_THREAD_MAX_ORDER_FACTOR = limits
 
         for call in ("gradient", "exact_moments"):
             a, b = run(call, "default"), run(call, "1")

@@ -523,12 +523,12 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def _blas_pin() -> str:
-    """The BLAS library linalg.one_blas_thread pins, and the limits it is used with."""
+    """The BLAS library linalg's thread rule pins, and its two limits."""
     if linalg.PINNED_BLAS is None:
         return "no OpenBLAS found, no pin"
     return (f"{linalg.PINNED_BLAS} on one thread up to order "
-            f"{linalg.ONE_THREAD_MAX_ORDER_INVERSE} (gradient: factor, solve, inverse) and "
-            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (exact-moments factor), "
+            f"{linalg.ONE_THREAD_MAX_ORDER_FACTOR} (cholesky) and "
+            f"{linalg.ONE_THREAD_MAX_ORDER_INVERSE} (inverse), "
             f"and for every fit-study repetition")
 
 
@@ -690,7 +690,8 @@ def _fit_rep(c: dict, task: tuple) -> tuple:
 
     The whole repetition runs on one scipy BLAS thread, in the study's own
     process and in every `--jobs` worker alike, so the outputs are the same
-    at any `--jobs` and BLAS thread count. Two threads per worker made
+    at any `--jobs` and BLAS thread count; its full gradients at n=1024 and
+    inverses at m=512 lie above linalg's limits. Two threads per worker made
     `--jobs 2` slower than `--jobs 1`: 28 against 13 s for vary-m, 235
     against 58 s for grad-convergence (2 cores, BENCH_threads.json)."""
     tag, rep, m, theta0, alpha1, every = task

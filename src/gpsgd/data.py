@@ -211,6 +211,8 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Normaliz
     test set is transformed with the training statistics."""
     if train.input_dim != test.input_dim:
         raise ValueError("train and test input dimensions differ")
+    if train.n < 2:
+        raise ValueError(f"cannot normalize {train.n} training row: the sd needs at least 2")
     x_mean = train.X.mean(axis=0)
     x_sd = train.X.std(axis=0, ddof=1)
     y_mean = float(train.y.mean())

@@ -16,28 +16,26 @@ scipy's BLAS too (see the CG matvec and the predictive mean in prediction).
 
 At the orders of a small batch, scipy's OpenBLAS loses more to its threads
 than they gain, and its threaded dpotrf and dpotri give other last bits
-than one thread does. `one_blas_thread` runs scipy's pool on one thread for
-one call and restores the count after; numpy's pool is left alone, as no
-factorization or solve runs on it. The pool is the mapped library that exports
-scipy_openblas_set_num_threads, found once at import in /proc/self/maps;
-without one the context does nothing. Two callers enter it once per call,
-keyed on the matrix order: training.GradientPlan (factor, solve and
-inverse) up to ONE_THREAD_MAX_ORDER_INVERSE = 192, and the factor of
-prediction's exact moments up to ONE_THREAD_MAX_ORDER_FACTOR = 512, which
-covers nearest-neighbour prediction at its default 256 neighbours. The
-CLI's fit studies run each whole repetition under it (see cli._fit_rep).
-The limits come from bench/blas_threads.py's sweep
-(BENCH_threads.json; 2 cores, OpenBLAS 0.3.30, microseconds per call on the
-default 2 threads against 1): a one-column gradient took 573 against 447
-at 128 and 2365 against 1758 at 192, but 3006 against 3186 at 224 and 2737
-against 2866 at 256 (dpotri alone crosses between 128 and 160); dpotrf took
-745 against 642 at 256 and 2934 against 2873 at 512, but 4922 against 4958
-at 640. A pinned factor, solve or inverse gives the same bits at any thread
-count; unpinned, the gradient's dpotri differs in the last bits between 1
-and 2 threads at every order swept, from 16 up, and dpotrf from 128.
-Entering and leaving the context costs about 1.2 us. Larger orders, the
-exact moments' triangular pass, CG and the eigensolver keep every
-thread.
+than one thread (dpotri from order 16 up, dpotrf from 128). So `cholesky`
+runs dpotrf on one scipy BLAS thread up to order ONE_THREAD_MAX_ORDER_FACTOR
+= 512, and `inverse` runs dpotri on one thread up to
+ONE_THREAD_MAX_ORDER_INVERSE = 192, through `one_blas_thread` (about
+0.85 us to enter and leave; its count is process-wide, so call them from
+one Python thread at a time); no caller pins them again. Thus fits with
+m <= 192, nearest predictions with at most 512 neighbours, simulate_gp with
+n <= 512, CG's preconditioner factor and the CLI's fit studies
+(cli._fit_rep pins each whole repetition) give the same bits at any BLAS
+thread count. The solves are not pinned: with a fixed factor, dtrtrs gave
+the same bits at 1 and 2 threads for 1 to 2001 random columns at orders 16
+to 512. Still, a wide exact predict depends on the count: at n=500 over
+2000 test points, 37 entries of the forward solve's k* columns, and so 4
+means (by up to 1.2e-15 relative), differed between 1 and 2 threads; its y
+column and the variances did not. Larger factors and inverses, CG's solves
+and the eigensolver keep every thread too. The limits come from
+bench/blas_threads.py's sweep (BENCH_threads.json; 2 cores, OpenBLAS
+0.3.30, microseconds per call on 2 threads against 1): a one-column
+gradient took 2365 against 1758 at 192 but 3006 against 3186 at 224;
+dpotrf took 2934 against 2873 at 512 but 4922 against 4958 at 640.
 
 The factor, the solves and the inverse call LAPACK's dpotrf, dtrtrs and
 dpotri through handles fetched once at import. They make the same LAPACK
@@ -124,9 +122,8 @@ EIG_SIZE_CAP = 4096
 # once the largest remaining signal diagonal is at most STOP * noise.
 PRECONDITIONER_MAX_RANK = 300
 PRECONDITIONER_STOP = 1e-6
-# The largest matrix orders at which scipy's OpenBLAS runs on one thread (see
-# one_blas_thread): a factor, solve and inverse (dpotri's crossover), and a
-# factor alone (dpotrf's). From bench/blas_threads.py's sweep.
+# The largest matrix orders at which `inverse` (dpotri) and `cholesky`
+# (dpotrf) run on one scipy BLAS thread. From bench/blas_threads.py's sweep.
 ONE_THREAD_MAX_ORDER_INVERSE = 192
 ONE_THREAD_MAX_ORDER_FACTOR = 512
 
@@ -149,8 +146,9 @@ def _scipy_openblas() -> tuple[str, Callable[[], int], Callable[[int], None]] | 
             get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
+        # no argtypes: ctypes passes a Python int as a C int anyway, and
+        # converting through declared argtypes cost 0.3 us per pin
+        set_.restype = None
         return os.path.basename(path), get, set_
     return None
 
@@ -166,18 +164,19 @@ class one_blas_thread:
     process-wide: enter it from one Python thread at a time. numpy's own
     OpenBLAS keeps its threads."""
 
-    __slots__ = ("_pin", "_threads")
+    __slots__ = ("_threads",)
 
     def __init__(self, pin: bool = True):
-        self._pin = pin and PINNED_BLAS is not None
+        # true while a count is to be read and restored, then that count
+        self._threads = pin and PINNED_BLAS is not None
 
     def __enter__(self) -> None:
-        if self._pin:
+        if self._threads:
             self._threads = _get_threads()
             _set_threads(1)
 
-    def __exit__(self, *exc) -> None:
-        if self._pin:
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._threads:
             _set_threads(self._threads)
 
 
@@ -228,7 +227,8 @@ def cholesky(K: np.ndarray, overwrite: bool = False, clean: bool = True) -> Chol
     (kernels.CovariancePlan.covariance) of more than one tile.
     Only triangle readers may take such a factor: `forward_solve`, `solve`,
     `two_sided_solve` and `log_det` read L's lower triangle alone, while
-    `inverse` and a dense `factor.lower @ z` read the whole array.
+    `inverse` and a dense `factor.lower @ z` read the whole array. Up to
+    ONE_THREAD_MAX_ORDER_FACTOR rows dpotrf runs on one scipy BLAS thread.
 
     Raises NotPositiveDefiniteError if K has a non-finite entry or a
     non-positive pivot. The entries are checked through their sum, which is
@@ -246,7 +246,8 @@ def cholesky(K: np.ndarray, overwrite: bool = False, clean: bool = True) -> Chol
             f"{K.shape[0]}x{K.shape[0]} matrix has {bad.shape[0]} non-finite entries, "
             f"the first at {tuple(int(i) for i in bad[0])}"
         )
-    lower, info = _potrf(_lapack_order(K), lower=1, clean=int(clean), overwrite_a=int(overwrite))
+    with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_FACTOR):
+        lower, info = _potrf(_lapack_order(K), lower=1, clean=int(clean), overwrite_a=int(overwrite))
     if info > 0:
         raise NotPositiveDefiniteError(
             f"Cholesky failed for {K.shape[0]}x{K.shape[0]} matrix: "
@@ -263,9 +264,11 @@ def inverse(factor: CholeskyFactor) -> np.ndarray:
     The factor must be clean (`cholesky`'s default): the strict upper
     triangle of its array must be zero, as the sum below reads it. potri
     works in the factor's own buffer, so the factor must not be used again;
-    a caller that drops it holds two n x n arrays here, not three.
+    a caller that drops it holds two n x n arrays here, not three. Up to
+    ONE_THREAD_MAX_ORDER_INVERSE rows dpotri runs on one scipy BLAS thread.
     """
-    inv, info = _potri(factor.lower, lower=1, overwrite_c=1)
+    with one_blas_thread(factor.lower.shape[0] <= ONE_THREAD_MAX_ORDER_INVERSE):
+        inv, info = _potri(factor.lower, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefiniteError(f"potri failed with info={info}")
     # potri writes the lower triangle and keeps L's strict upper one, which

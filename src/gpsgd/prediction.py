@@ -36,9 +36,8 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsymv
 
 from .kernels import CovariancePlan, HyperParams, MultiKernel
-from .linalg import (ONE_THREAD_MAX_ORDER_FACTOR, CGBreakdownError, NotPositiveDefiniteError,
-                     cg_solve, cholesky, forward_solve, one_blas_thread, pivoted_cholesky,
-                     woodbury_preconditioner)
+from .linalg import (CGBreakdownError, NotPositiveDefiniteError, cg_solve, cholesky,
+                     forward_solve, pivoted_cholesky, woodbury_preconditioner)
 from .sampling import SpatialIndex
 
 EXACT_SIZE_LIMIT = 10_000
@@ -138,12 +137,11 @@ def _exact_moments(K, y, k_star):
     Only the triangular pass reads the factor, so dpotrf's clean pass is
     skipped (linalg.cholesky's `clean`). BENCH_triangle.json splits what
     the two save on the exact predict at n=6000.
-    Up to ONE_THREAD_MAX_ORDER_FACTOR training points (every nearest
-    neighbourhood at the default k=256) the factor runs on one scipy BLAS
-    thread. The triangular pass keeps every thread: over 2000 test points
-    at n=500 it took 41 against 30 ms on one thread (2 cores)."""
-    with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_FACTOR):
-        factor = cholesky(K, overwrite=True, clean=False)
+    Up to 512 training points (every nearest neighbourhood at the default
+    k=256) the factor runs on one BLAS thread (linalg's rule). The wide
+    triangular pass keeps every thread, so its means depend on the count:
+    over 2000 test points at n=500 it took 41 against 30 ms on one thread."""
+    factor = cholesky(K, overwrite=True, clean=False)
     W = forward_solve(factor, np.column_stack((y, k_star)))
     w_y, W_k = W[:, 0], W[:, 1:]
     return dgemv(1.0, W_k, w_y, trans=1), np.einsum("ij,ij->j", W_k, W_k)
@@ -223,8 +221,8 @@ def predict_nn(
     n = plan.X.shape[0]
     if not 1 <= n_neighbors <= n:
         raise ValueError(f"n_neighbors must be in [1, {n}], got {n_neighbors}")
-    if index.n != n:
-        raise ValueError(f"index covers {index.n} points, expected {n}")
+    if not np.array_equal(index.points, plan.X):
+        raise ValueError(f"index covers other points than the {n} of X_train")
     vec = theta.to_vector()
     mean, quad = np.empty((2, plan.X2.shape[0]))
     for t, rows in enumerate(index.query_many(plan.X2, n_neighbors)):

@@ -35,8 +35,7 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import CovariancePlan, HyperParams, MultiKernel, marginal_covariance, param_names
-from .linalg import (ONE_THREAD_MAX_ORDER_INVERSE, NotPositiveDefiniteError, cholesky, inverse,
-                     log_det, one_blas_thread, solve)
+from .linalg import NotPositiveDefiniteError, cholesky, inverse, log_det, solve
 from .sampling import Minibatch, SamplingScheme, SpatialIndex, draw_batches
 from .seeds import iteration_rng
 
@@ -216,11 +215,26 @@ class FitDivergedError(Exception):
         self.trace = trace
 
 
+def _responses(Y, n: int) -> np.ndarray:
+    """Y as an n x r block (a vector is one column): one finite response
+    per input row, or ValueError."""
+    Y = np.asarray(Y, dtype=np.float64)
+    Y = Y[:, None] if Y.ndim == 1 else Y
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ValueError(f"responses of shape {Y.shape} for {n} inputs")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("non-finite responses")
+    return Y
+
+
 def nll_loss(theta: HyperParams, kernels: MultiKernel, X: np.ndarray, y: np.ndarray) -> float:
-    """Scaled negative log marginal likelihood of y given X."""
-    y = np.asarray(y, dtype=np.float64)
+    """Scaled negative log marginal likelihood of y given X: one column of
+    responses, checked as GradientPlan checks its block."""
+    Y = _responses(y, len(X))
+    if Y.shape[1] != 1:
+        raise ValueError(f"responses of shape {Y.shape}: nll_loss takes one column")
+    y, n = Y[:, 0], Y.shape[0]
     factor = cholesky(marginal_covariance(kernels, theta, X), overwrite=True)
-    n = y.shape[0]
     return float((y @ solve(factor, y) + log_det(factor) + n * LOG_2PI) / (2.0 * n))
 
 
@@ -235,33 +249,24 @@ class GradientPlan:
     <K^-1 - a a^T, dK/dtheta_l> / (2 s_l) over those rows, a = K^-1 Y[:, j].
 
     One covariance build, one Cholesky, one inverse and one solve serve the
-    whole block; each column then costs one contraction. The factor, solve
-    and inverse of at most ONE_THREAD_MAX_ORDER_INVERSE rows run on one
-    scipy BLAS thread (linalg.one_blas_thread), so a batch gradient has the
-    same bits at any BLAS thread count. The last column subtracts a a^T
-    from the inverse in place, so a one-column block makes no copy of it:
-    the full gradient runs at n in the thousands.
+    whole block; each column then costs one contraction. Over at most 192
+    rows a gradient is the same at any BLAS thread count: linalg's thread
+    rule runs its factor and inverse on one thread. The last column
+    subtracts a a^T from the inverse in place, so a one-column block makes
+    no copy of it: the full gradient runs at n in the thousands.
     """
 
     def __init__(self, kernels: MultiKernel, theta: HyperParams, X: np.ndarray, Y: np.ndarray):
         self.covariance_plan = CovariancePlan(kernels, theta, X)
-        n = len(self.covariance_plan.X)
-        Y = np.asarray(Y, dtype=np.float64)
-        Y = Y[:, None] if Y.ndim == 1 else Y
-        if Y.ndim != 2 or Y.shape[0] != n:
-            raise ValueError(f"responses of shape {Y.shape} for {n} inputs")
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("non-finite responses")
-        self.Y = Y
+        self.Y = _responses(Y, len(self.covariance_plan.X))
 
     def __call__(self, theta: np.ndarray, divisors: np.ndarray, rows=None) -> np.ndarray:
         K, contract = self.covariance_plan(theta, rows)
-        with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_INVERSE):
-            factor = cholesky(K, overwrite=True)
-            del K  # its buffer now holds the factor
-            alpha = solve(factor, self.Y if rows is None else self.Y[rows])
-            inv = inverse(factor)
-            del factor  # its buffer now holds potri's output
+        factor = cholesky(K, overwrite=True)
+        del K  # its buffer now holds the factor
+        alpha = solve(factor, self.Y if rows is None else self.Y[rows])
+        inv = inverse(factor)
+        del factor  # its buffer now holds potri's output
         out = np.empty((alpha.shape[1], divisors.shape[0]))
         for j, a in enumerate(alpha.T):
             W = inv if j == len(out) - 1 else inv.copy()
@@ -384,10 +389,10 @@ def sgd_fit(
     """Minibatch SGD with diminishing step sizes alpha_k = alpha1 / k.
 
     Deterministic given (seed, config, data): the batch at iteration k is a
-    pure function of the seed and k. With m at most
-    linalg.ONE_THREAD_MAX_ORDER_INVERSE the iterates are also the same at
-    any BLAS thread count; a larger m, and the `grad_norm_every` norms of
-    more rows than that, are the same only for the same thread count.
+    pure function of the seed and k. With m at most 192 the iterates are
+    also the same at any BLAS thread count (linalg's thread rule); a larger
+    m, and the `grad_norm_every` norms of more rows than that, are the same
+    only for the same thread count.
     """
     def step(k: int, grad: np.ndarray):
         alpha_k = config.alpha1 / k

@@ -649,12 +649,13 @@ def test_config_rejects_unknown_file_key(tmp_path):
 
 
 def test_small_factorizations_give_the_same_bits_at_any_blas_thread_count(tmp_path):
-    # The batch gradients (m=128) and the 256-point nearest neighbourhoods
-    # factor on one scipy BLAS thread, so these outputs do not depend on
-    # OPENBLAS_NUM_THREADS. grad_norm_sq is a full gradient over 512 rows,
-    # above linalg.ONE_THREAD_MAX_ORDER_INVERSE: it keeps every thread and
-    # may differ in the last bits, so only trace.csv's theta columns are
-    # compared.
+    # linalg's thread rule runs the batch gradients' (m=128) factor and
+    # inverse, the 256-point nearest neighbourhoods' factor and the 512-point
+    # simulation's factor on one scipy BLAS thread, so these outputs do not
+    # depend on OPENBLAS_NUM_THREADS. grad_norm_sq is a full gradient over
+    # 512 rows, whose inverse is above linalg.ONE_THREAD_MAX_ORDER_INVERSE:
+    # it keeps every thread and may differ in the last bits, so only
+    # trace.csv's theta columns are compared.
     data = simulate_small(tmp_path, n=512, seed=11)
     src = str(Path(gpsgd.__file__).resolve().parents[1])
     outputs = {}
@@ -662,7 +663,9 @@ def test_small_factorizations_give_the_same_bits_at_any_blas_thread_count(tmp_pa
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         fit, pred = tmp_path / f"fit{threads}", tmp_path / f"pred{threads}"
-        for args in (["fit", "--out", fit, "--seed", 3, "--set", f"data={data / 'dataset.csv'}",
+        sim = tmp_path / f"sim{threads}"
+        for args in (["simulate", "--out", sim, "--seed", 11, "--set", "n=512"],
+                     ["fit", "--out", fit, "--seed", 3, "--set", f"data={data / 'dataset.csv'}",
                       "--set", "grad_norm_every=25"],
                      ["predict", "--out", pred, "--set", f"train={data / 'dataset.csv'}",
                       "--set", f"test={data / 'dataset.csv'}",
@@ -673,7 +676,8 @@ def test_small_factorizations_give_the_same_bits_at_any_blas_thread_count(tmp_pa
         assert header == "iter,alpha,theta_1,theta_2,grad_norm_sq"
         outputs[threads] = ((fit / "params.json").read_bytes(),
                             [row.rsplit(",", 1)[0] for row in rows],
-                            (pred / "predictions.csv").read_bytes())
+                            (pred / "predictions.csv").read_bytes(),
+                            (sim / "dataset.csv").read_bytes())
     assert outputs["1"] == outputs["2"]
 
 

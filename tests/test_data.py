@@ -1,6 +1,7 @@
 """Dataset generation, splitting, normalization, and CSV round trips."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,15 @@ def test_normalize_round_trip():
     for normalized, raw in [(train, train_raw), (test, test_raw)]:
         assert np.max(np.abs(normalized.X * meta.x_sd + meta.x_mean - raw.X)) < 1e-10
         assert np.max(np.abs(normalized.y * meta.y_sd + meta.y_mean - raw.y)) < 1e-10
+
+
+def test_normalize_rejects_one_training_row_by_its_count():
+    # the n-1 divisor sd of one row is 0/0: named up front, with no warning
+    one = Dataset(X=np.array([[1.0]]), y=np.array([2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot normalize 1 training row"):
+            normalize(one, one)
 
 
 def test_normalize_rejects_constant_column():

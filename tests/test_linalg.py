@@ -68,12 +68,20 @@ def test_cholesky_takes_finite_entries_whose_sum_overflows():
     assert np.array_equal(factor.lower, np.diag([math.sqrt(1e308)] * 2))
 
 
+def _pinned_as_cholesky(n):
+    """The pin `cholesky` runs dpotrf under at order n, for a scipy reference."""
+    return linalg.one_blas_thread(n <= linalg.ONE_THREAD_MAX_ORDER_FACTOR)
+
+
 @pytest.mark.parametrize("n", [1, 16, 127, 128, 129, 300, 512])
 def test_factor_solves_and_inverse_match_scipy_bit_for_bit(n):
+    # the references run under the pins of linalg's thread rule; the solves
+    # are never pinned
     rng = np.random.default_rng(n)
     X = rng.uniform(-2.0, 2.0, size=(n, 4))
     K = kernel_matrix(KernelSpec.rbf((1.0, 0.7, 1.3, 0.9)), X) + 0.1 * np.eye(n)
-    L = scipy.linalg.cholesky(K, lower=True, check_finite=False)
+    with _pinned_as_cholesky(n):
+        L = scipy.linalg.cholesky(K, lower=True, check_finite=False)
     factor = cholesky(K)
     assert np.array_equal(factor.lower, L)
     for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
@@ -81,7 +89,8 @@ def test_factor_solves_and_inverse_match_scipy_bit_for_bit(n):
         assert np.array_equal(forward_solve(factor, b), z)
         assert np.array_equal(solve(factor, b),
                               scipy.linalg.solve_triangular(L, z, lower=True, trans="T"))
-    inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+    with linalg.one_blas_thread(n <= linalg.ONE_THREAD_MAX_ORDER_INVERSE):
+        inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
     assert info == 0
     lower = np.tril(inv)
     got = inverse(factor)
@@ -132,7 +141,8 @@ def test_factor_and_eigensolve_in_place_match_the_copying_calls_bit_for_bit(layo
     L = cholesky(K).lower
     values = sym_eigenvalues(K)
     assert np.array_equal(K, before)   # the default calls leave K as it was
-    assert np.array_equal(L, scipy.linalg.cholesky(before, lower=True, check_finite=False))
+    with _pinned_as_cholesky(K.shape[0]):
+        assert np.array_equal(L, scipy.linalg.cholesky(before, lower=True, check_finite=False))
     assert np.array_equal(values, np.linalg.eigvalsh(before)[::-1])
     K = _layouts(n)[layout]
     factor = cholesky(K, overwrite=True)
@@ -376,3 +386,47 @@ def test_one_blas_thread_without_a_pool_does_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "_set_threads", None)   # a call would raise
     with linalg.one_blas_thread():
         assert np.array_equal(cholesky(np.eye(2)).lower, np.eye(2))
+
+
+@pytest.mark.skipif(linalg.PINNED_BLAS is None, reason="no scipy OpenBLAS in this process")
+def test_cholesky_and_inverse_pin_themselves_by_order_and_restore_the_count(monkeypatch):
+    # linalg's thread rule: dpotrf runs on one thread up to order 512 and
+    # dpotri up to 192, so their bits do not depend on the caller's count;
+    # above the limits they run on that count. The count is restored after
+    # each call, also when it raises.
+    seen = []
+
+    def recording(lapack):
+        def call(*args, **kwargs):
+            seen.append(linalg._get_threads())
+            return lapack(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(linalg, "_potrf", recording(linalg._potrf))
+    monkeypatch.setattr(linalg, "_potri", recording(linalg._potri))
+    found = linalg._get_threads()
+    try:
+        cases = ([("cholesky", n, 512) for n in (128, 300, 512, 513)]
+                 + [("inverse", n, 192) for n in (16, 128, 192, 193)])
+        for call, n, limit in cases:
+            rng = np.random.default_rng(n)
+            X = rng.uniform(-2.0, 2.0, size=(n, 4))
+            K = kernel_matrix(KernelSpec.rbf((1.0, 0.7, 1.3, 0.9)), X) + 0.1 * np.eye(n)
+            outputs = []
+            for threads in (1, 2):
+                linalg._set_threads(threads)
+                factor = cholesky(K)
+                outputs.append(factor.lower if call == "cholesky" else inverse(factor))
+                assert seen[-1] == (1 if n <= limit else threads), (call, n, threads)
+                assert linalg._get_threads() == threads
+            if n <= limit:
+                assert np.array_equal(outputs[0], outputs[1]), (call, n)
+        linalg._set_threads(2)
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert seen[-1] == 1 and linalg._get_threads() == 2
+        with pytest.raises(NotPositiveDefiniteError, match="potri failed"):
+            inverse(linalg.CholeskyFactor(np.asfortranarray(np.diag([1.0, 0.0]))))
+        assert seen[-1] == 1 and linalg._get_threads() == 2
+    finally:
+        linalg._set_threads(found)

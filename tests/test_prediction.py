@@ -25,8 +25,7 @@ from gpsgd import (
 )
 from gpsgd import prediction
 from gpsgd.kernels import CovariancePlan, cross_kernel_matrix, marginal_covariance
-from gpsgd.linalg import (ONE_THREAD_MAX_ORDER_FACTOR, NotPositiveDefiniteError, cg_solve, cholesky,
-                          forward_solve, one_blas_thread, solve)
+from gpsgd.linalg import NotPositiveDefiniteError, cg_solve, cholesky, forward_solve, solve
 from gpsgd.prediction import CGConvergenceError
 from gpsgd.seeds import component_rng
 
@@ -190,14 +189,13 @@ def test_exact_predict_holds_one_n_by_n_array():
 
 
 def _reference_moments(theta, kernels, X, y, x_star):
-    """Mean and variance from the mirrored K, the clean factor (on one BLAS
-    thread up to the order predict pins at) and one forward pass."""
+    """Mean and variance from the mirrored K, the clean factor and one
+    forward pass."""
     plan = CovariancePlan(kernels, theta, X, x_star)
     v = theta.to_vector()
     K = plan.covariance(v)
     assert np.array_equal(K, K.T)
-    with one_blas_thread(K.shape[0] <= ONE_THREAD_MAX_ORDER_FACTOR):
-        factor = cholesky(K)
+    factor = cholesky(K)
     W = forward_solve(factor, np.column_stack((y, plan.covariance(v, cols=slice(None)))))
     mean = dgemv(1.0, W[:, 1:], W[:, 0], trans=1)
     quad = np.einsum("ij,ij->j", W[:, 1:], W[:, 1:])
@@ -253,6 +251,15 @@ def test_non_finite_training_responses_are_rejected(strategy):
     else:
         with pytest.raises(ValueError, match="y_train"):
             predict(theta, MK, X, y, X_test, strategy=strategy)
+
+
+def test_predict_nn_rejects_an_index_over_other_points():
+    X, y = _training_fixture()
+    X_test = np.array([[1.0], [2.5]])
+    theta = HyperParams((2.0,), 0.5)
+    for other in (X[::-1], X[:-1], X + 1.0):
+        with pytest.raises(ValueError, match=f"index covers other points than the {len(X)} of X_train"):
+            predict_nn(theta, MK, X, y, X_test, 5, build_index(other))
 
 
 def test_predict_nn_full_set_equals_exact():

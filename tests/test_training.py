@@ -280,6 +280,16 @@ def test_gradient_plan_checks_layout_and_data_when_built(case):
         training.GradientPlan(kernels, theta, X, y)
     with pytest.raises(ValueError, match=message):
         full_gradient(theta, kernels, X, y)
+    with pytest.raises(ValueError, match=message):   # the loss checks as the plan does
+        nll_loss(theta, kernels, X, y)
+
+
+def test_nll_loss_takes_one_column_of_responses():
+    ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 30, Gaussian(5.0), 1, seed=8)
+    theta = HyperParams((2.0,), 0.5)
+    assert nll_loss(theta, MK, ds.X, ds.y[:, None]) == nll_loss(theta, MK, ds.X, ds.y)
+    with pytest.raises(ValueError, match=r"responses of shape \(30, 2\): nll_loss takes one column"):
+        nll_loss(theta, MK, ds.X, np.column_stack((ds.y, ds.y)))
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
