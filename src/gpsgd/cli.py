@@ -4,10 +4,16 @@ and execute multi-repetition studies with reproducible seeds and CSV outputs.
 Configuration is a flat JSON document merged with `--set key=value` overrides
 (flags win); unknown keys are rejected. Every key has a default, a type and a
 range in one table, `KEYS`; every value and the rules that tie keys together
-are checked before any work. Every run writes a `summary.txt` with the
-resolved-config hash, the elapsed time and the BLAS thread pin. Output CSVs
-contain no wall-clock columns, so a rerun with the same config and seed is
-byte-identical.
+are checked before any work. Every JSON object read (the config, each
+`kernels` block, predict's params file) goes through `_checked`: unknown keys
+are rejected, each value is typed (a bare number is a list of one) and a
+message names the key path (`kernels[1] lengthscales`, `params theta_noise`).
+A block's `family`, `lengthscales` and `matern_order` are typed as the
+single-kernel keys, which stay at their default beside `kernels`; KernelSpec
+reads no config, it only writes one for provenance.json. Every run writes a
+`summary.txt` with the resolved-config hash, the elapsed time and the BLAS
+thread pin. Output CSVs contain no wall-clock columns, so a rerun with the
+same config and seed is byte-identical.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage/config error.
 """
@@ -106,6 +112,9 @@ _KERNEL_KEYS = {
     "matern_order": Key(None, "choice", choices=MATERN_ORDERS, nullable=True),
     "kernels": Key(None, "kernels", nullable=True),  # kernel blocks for a sum of kernels
 }
+# A kernel block's keys are KernelSpec's fields, each typed as its single-kernel key.
+_BLOCK_FIELDS = {"family": "kernel_family", "lengthscales": "lengthscales",
+                 "matern_order": "matern_order"}
 
 
 def _input_keys(sd: float) -> dict:
@@ -168,7 +177,8 @@ GATED_KEYS = {"tau": {"scaling": ("log",)}, "alpha1": {"optimizer": ("sgd",)},
               # auto picks CG from n >= 10^4, so it reads the CG keys too
               "cg_tol": {"strategy": ("auto", "cg")}, "cg_max_iter": {"strategy": ("auto", "cg")},
               "n_neighbors": {"strategy": ("nearest",)},
-              **{key: _GP_ONLY for key in _KERNEL_KEYS}}
+              **{key: {**_GP_ONLY, "kernels": (None,)} for key in _BLOCK_FIELDS.values()},
+              "kernels": _GP_ONLY}
 
 _SEED = Key(0, "int", NONNEGATIVE)
 
@@ -276,16 +286,25 @@ def resolve_config(command: str, args) -> tuple[dict, dict]:
     cfg.update(_parse_set(args.set))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    unknown = set(cfg) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     if command == "experiment" and cfg["seed"] is None:
         raise ConfigError("experiment requires a seed (--seed or the seed key)")
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         cfg["seed"] = 0
-    typed = {key: _typed(key, keys[key], value) for key, value in cfg.items()}
+    typed = _checked(keys, cfg, f"the {command} config")
     _check_rules(command, typed)
     return cfg, typed
+
+
+def _checked(keys: dict[str, Key], value, name: str, prefix: str = "") -> dict:
+    """The JSON object `value` (`name` in messages) checked against `keys`:
+    unknown keys are rejected and each value is typed as `prefix + key`. An
+    absent key is null, so it is required unless its Key is nullable."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must hold a JSON object, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return {key: _typed(prefix + key, spec, value.get(key)) for key, spec in keys.items()}
 
 
 def _typed(key: str, spec: Key, value):
@@ -325,10 +344,9 @@ def _typed(key: str, spec: Key, value):
     if kind == "kernels":
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{key} must be a nonempty list of kernel blocks, got {value!r}")
-        try:
-            return tuple(KernelSpec.from_config(block) for block in value)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad kernel config in {key}: {exc}") from None
+        fields = {field: _KERNEL_KEYS[name] for field, name in _BLOCK_FIELDS.items()}
+        return tuple(_checked(fields, block, f"{key}[{i}]", f"{key}[{i}] ")
+                     for i, block in enumerate(value))
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int":
         if not number or isinstance(value, float) and not value.is_integer():
@@ -365,12 +383,10 @@ def _check_rules(command: str, c: dict) -> None:
             raise ConfigError(f"{key} {unread[key]}; leave it at its default {spec.default!r}")
     if command == "simulate" and c["generator"] != "gp":
         c["kernels"] = None
-    elif c["kernels"] is not None:
-        c["kernels"] = MultiKernel(c["kernels"])
     else:
+        blocks = c["kernels"] or [{field: c[name] for field, name in _BLOCK_FIELDS.items()}]
         try:
-            c["kernels"] = MultiKernel.single(
-                KernelSpec(c["kernel_family"], c["lengthscales"], c["matern_order"]))
+            c["kernels"] = MultiKernel(tuple(KernelSpec(**block) for block in blocks))
         except ValueError as exc:
             raise ConfigError(f"bad kernel config: {exc}") from None
     kernels = c["kernels"]
@@ -464,9 +480,7 @@ def _read_params(path: Path, kernels: MultiKernel) -> HyperParams:
         params = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"params file {path} is not valid JSON: {exc}") from None
-    if not isinstance(params, dict):
-        raise ConfigError(f"params file {path} must hold a JSON object, got {params!r}")
-    p = {key: _typed(f"params {key}", spec, params.get(key)) for key, spec in _PARAMS_KEYS.items()}
+    p = _checked(_PARAMS_KEYS, params, f"params file {path}", "params ")
     _check_theta_length("params theta_signal", p["theta_signal"], kernels)
     if p["lengthscales"] is not None and len(p["lengthscales"]) != kernels.n_lengthscales:
         raise ConfigError(f"params lengthscales has {len(p['lengthscales'])} entries for "

@@ -103,16 +103,6 @@ class KernelSpec:
         return cfg
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "KernelSpec":
-        unknown = set(cfg) - {"family", "lengthscales", "matern_order"}
-        if unknown:
-            raise ValueError(f"unknown kernel config keys: {sorted(unknown)}")
-        family = KernelFamily(cfg["family"])
-        lengthscales = tuple(float(l) for l in cfg["lengthscales"])
-        order = cfg.get("matern_order")
-        return cls(family, lengthscales, None if order is None else float(order))
-
-    @classmethod
     def rbf(cls, lengthscales) -> "KernelSpec":
         if np.isscalar(lengthscales):
             lengthscales = (float(lengthscales),)

@@ -253,7 +253,9 @@ def test_bad_out_or_config_path_exits_two(tmp_path, capsys, flag, target, messag
      "params lengthscales has 2 entries for 1 lengthscale slots"),
     ("[1, 2]", "must hold a JSON object, got [1, 2]"),
     ("not json", "is not valid JSON"),
-], ids=["two-signal-variances", "no-signal", "two-lengthscales", "list", "text"])
+    ('{"theta_signal": [4.0], "theta_noise": 1.0, "lengthscale": [0.05]}',
+     "params.json: ['lengthscale']"),
+], ids=["two-signal-variances", "no-signal", "two-lengthscales", "list", "text", "misspelt-key"])
 def test_bad_params_file_exits_two(tmp_path, capsys, content, message):
     csv = simulate_small(tmp_path) / "dataset.csv"
     params = tmp_path / "params.json"
@@ -263,6 +265,47 @@ def test_bad_params_file_exits_two(tmp_path, capsys, content, message):
     err = capsys.readouterr().err
     assert "params" in err and message in err
     assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ('[{"family": "rbf", "lengthscales": "12"}]',
+     "kernels[0] lengthscales must be a finite number, got '12'"),
+    ('[{"family": "rbf", "lengthscales": "5"}]',
+     "kernels[0] lengthscales must be a finite number, got '5'"),
+    ('[{"family": "rbf", "lengthscales": [true]}]',
+     "kernels[0] lengthscales must be a finite number, got True"),
+    ('[{"family": "rbf", "lengthscales": [0.5]}, '
+     '{"family": "matern", "lengthscales": [1.0], "matern_order": "1.5"}]',
+     "kernels[1] matern_order must be one of [0.5, 1.5, 2.5], got '1.5'"),
+    ('[{"family": "rbf"}]', "kernels[0] lengthscales is required"),
+    ('[{"lengthscales": [0.5]}]', "kernels[0] family is required"),
+    ('[{"family": "rbf", "lengthscales": [0.5], "bogus": 1}]',
+     "unknown keys in kernels[0]: ['bogus']"),
+    ("[0.5]", "kernels[0] must hold a JSON object, got 0.5"),
+], ids=["text-lengthscales", "text-lengthscale", "bool-lengthscale", "text-matern-order",
+        "no-lengthscales", "no-family", "unknown-key", "not-an-object"])
+def test_bad_kernel_block_exits_two(tmp_path, capsys, blocks, message):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    assert run(["predict", "--out", tmp_path / "bad", "--set", f"train={csv}",
+                "--set", f"test={csv}", "--set", f"kernels={blocks}"]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not list((tmp_path / "bad").glob("*.csv"))
+
+
+def test_provenance_kernels_feed_back_as_the_kernels_key(tmp_path):
+    # simulate records each block as KernelSpec.to_config gives it; read back
+    # through the kernels key, the blocks give the same model. A bare number
+    # is a list of one lengthscale.
+    common = ["input_dim=2", "theta_signal=[2, 1]"]
+    first = simulate_small(tmp_path, "first", extra=[
+        'kernels=[{"family": "rbf", "lengthscales": [0.5, 2.0]}, '
+        '{"family": "matern", "lengthscales": 0.8, "matern_order": 1.5}]', *common])
+    kernels = json.loads((first / "provenance.json").read_text())["kernels"]
+    assert kernels == [{"family": "rbf", "lengthscales": [0.5, 2.0]},
+                       {"family": "matern", "lengthscales": [0.8], "matern_order": 1.5}]
+    again = simulate_small(tmp_path, "again", extra=[f"kernels={json.dumps(kernels)}", *common])
+    assert (again / "provenance.json").read_bytes() == (first / "provenance.json").read_bytes()
+    assert read_csvs(again) == read_csvs(first)
 
 
 @pytest.mark.parametrize("command, key", [("fit", "data"), ("predict", "train"),
@@ -297,6 +340,7 @@ _CURVATURE = ["study=curvature", "n=64", "m_grid=[8]"]
 _VARY_M = ["study=vary-m", "n=64", "m_grid=[8]"]
 _PARAM = ["study=param-convergence", "n=64", "m=16"]
 _MONOTONE = ["study=lengthscale-monotone"]
+_ONE_KERNEL = 'kernels=[{"family": "rbf", "lengthscales": [0.5]}]'
 _TWO_KERNELS = ('kernels=[{"family": "rbf", "lengthscales": [0.5]}, '
                 '{"family": "rbf", "lengthscales": [2.0]}]')
 
@@ -357,12 +401,17 @@ def test_keys_a_study_ignores_exit_two(tmp_path, capsys, settings, message):
     ("predict", ["strategy=nearest", "cg_max_iter=3"],
      "cg_max_iter applies only with strategy=auto or strategy=cg"),
     ("predict", ["n_neighbors=7"], "n_neighbors applies only with strategy=nearest"),
+    ("predict", [_ONE_KERNEL, "lengthscales=[9.0]"], "lengthscales applies only with kernels=null"),
+    ("fit", [_ONE_KERNEL, "kernel_family=matern"], "kernel_family applies only with kernels=null"),
+    ("simulate", [_ONE_KERNEL, "matern_order=1.5"], "matern_order applies only with kernels=null"),
 ], ids=["fit-tau-linear", "fit-learning-rate-sgd", "fit-learn-lengthscales-sgd",
         "fit-alpha1-adam", "simulate-input-low-gaussian", "simulate-input-sd-uniform",
         "vary-m-tau-linear", "fit-epochs-iterations", "simulate-noise-sd-gp",
         "simulate-theta-noise-levy", "simulate-lengthscales-levy", "simulate-kernel-family-levy",
         "predict-theta-signal-params", "predict-theta-noise-params", "predict-seed",
-        "predict-cg-tol-exact", "predict-cg-max-iter-nearest", "predict-n-neighbors-auto"])
+        "predict-cg-tol-exact", "predict-cg-max-iter-nearest", "predict-n-neighbors-auto",
+        "predict-lengthscales-kernels", "fit-kernel-family-kernels",
+        "simulate-matern-order-kernels"])
 def test_keys_another_key_turns_off_exit_two(tmp_path, monkeypatch, capsys, command, settings,
                                              message):
     monkeypatch.chdir(tmp_path)
@@ -395,6 +444,9 @@ def test_gated_keys_at_their_default_are_accepted(tmp_path):
     assert run(["simulate", "--out", tmp_path / "levy", "--set", "n=8", "--set", "generator=levy",
                 "--set", "theta_noise=1", "--set", "lengthscales=[0.5]",
                 "--set", "kernel_family=rbf"]) == 0
+    assert run(["simulate", "--out", tmp_path / "blocks", "--set", "n=8", "--set", _ONE_KERNEL,
+                "--set", "kernel_family=rbf", "--set", "lengthscales=[0.5]",
+                "--set", "matern_order=null"]) == 0
     params = tmp_path / "params.json"
     params.write_text('{"theta_signal": [2.0], "theta_noise": 0.5}')
     assert run(["predict", "--out", tmp_path / "pred", "--seed", 0, "--set", f"train={csv}",
@@ -524,6 +576,37 @@ def test_predict_uses_fit_params(tmp_path):
                 "--set", f"test={train / 'dataset.csv'}",
                 "--set", f"params={fit_out / 'params.json'}"]) == 0
     assert (out / "predictions.csv").exists()
+
+
+def test_adam_fit_params_predict_like_the_library(tmp_path, capsys):
+    csv = simulate_small(tmp_path) / "dataset.csv"
+    fit = tmp_path / "fit"
+    assert run(["fit", "--out", fit, "--seed", 3, "--set", f"data={csv}",
+                "--set", "optimizer=adam", "--set", "sampling=nearby",
+                "--set", "learn_lengthscales=true", "--set", "m=16",
+                "--set", "iterations=20"]) == 0
+    params = json.loads((fit / "params.json").read_text())
+    assert sorted(params) == ["lengthscales", "theta_noise", "theta_signal"]
+    assert len(params["lengthscales"]) == 1 and params["lengthscales"] != [0.5]
+    pred = tmp_path / "pred"
+    assert run(["predict", "--out", pred, "--set", f"train={csv}", "--set", f"test={csv}",
+                "--set", "strategy=exact", "--set", f"params={fit / 'params.json'}"]) == 0
+    data = load_csv(csv)
+    theta = HyperParams(tuple(params["theta_signal"]), params["theta_noise"],
+                        tuple(params["lengthscales"]))
+    result = predict(theta, MultiKernel.single(KernelSpec.rbf(0.5)), data.X, data.y, data.X,
+                     strategy=PredictStrategy.EXACT)
+    rows = [line.split(",") for line in (pred / "predictions.csv").read_text().splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == result.mean.tolist()
+    assert [float(row[2]) for row in rows] == result.variance.tolist()
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text((fit / "params.json").read_text().replace('"lengthscales"',
+                                                                  '"lengthscale"'))
+    capsys.readouterr()
+    assert run(["predict", "--out", tmp_path / "bad", "--set", f"train={csv}",
+                "--set", f"test={csv}", "--set", f"params={misspelt}"]) == 2
+    assert "['lengthscale']" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "predictions.csv").exists()
 
 
 def test_predict_numerical_failure_exits_one(tmp_path, capsys):

@@ -23,7 +23,7 @@ from gpsgd import (
     simulate_gp,
     train_test_split,
 )
-from gpsgd import prediction
+from gpsgd import linalg, prediction
 from gpsgd.kernels import CovariancePlan, cross_kernel_matrix, marginal_covariance
 from gpsgd.linalg import NotPositiveDefiniteError, cg_solve, cholesky, forward_solve, solve
 from gpsgd.prediction import CGConvergenceError
@@ -101,6 +101,21 @@ def test_preconditioned_cg_two_kernel_matches_exact_in_fewer_iterations():
     K = marginal_covariance(kernels, theta, ds.X)
     plain = cg_solve(lambda v: K @ v, ds.y, tol=tol)
     assert plain.converged and cg.cg_iterations[0] < plain.iterations
+
+
+def test_cg_with_a_rank_zero_preconditioner_matches_exact():
+    # a signal variance at most PRECONDITIONER_STOP times the noise leaves the
+    # pivoted Cholesky factor empty, so CG is preconditioned by the noise alone
+    theta = HyperParams((1e-9,), 1.0)
+    assert theta.signal_variances[0] <= linalg.PRECONDITIONER_STOP * theta.noise_variance
+    ds = simulate_gp(MK, HyperParams((4.0,), 1.0), 120, Gaussian(5.0), 1, seed=19)
+    X_test = component_rng(20, "rank-zero").normal(0, 5.0, size=(5, 1))
+    tol = 1e-6
+    exact = predict(theta, MK, ds.X, ds.y, X_test, strategy=PredictStrategy.EXACT)
+    cg = predict(theta, MK, ds.X, ds.y, X_test, strategy=PredictStrategy.CG, cg_tol=tol)
+    assert cg.cg_preconditioner_rank == 0
+    assert np.max(np.abs(exact.mean - cg.mean)) < 10 * tol * max(1, np.abs(exact.mean).max())
+    assert np.max(np.abs(exact.variance - cg.variance)) < 10 * tol
 
 
 def test_cg_solves_wide_test_sets_in_bounded_blocks(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpsgd import sampling
 from gpsgd.sampling import (
     Minibatch,
     SamplingScheme,
@@ -261,6 +262,24 @@ def test_query_many_ties_at_kth_distance_use_the_fallback():
     assert got.tolist() == [[1, 2, 3, 0], [0, 1, 2, 3], [4, 1, 2, 3]]
     # only from 1.0 do the 4th and 5th nearest (rows 0 and 4) tie
     assert counter.ball_queries == 1
+
+
+def test_query_many_split_into_blocks_equals_one_call(monkeypatch):
+    rng = component_rng(13, "query-blocks")
+    n = 40
+    X = _duplicate_heavy(rng, n, 2)
+    points = np.vstack([X[rng.integers(n, size=30)], np.round(rng.normal(size=(20, 2)), 1)])
+    index = build_index(X)
+    whole = {k: index.query_many(points, k) for k in (1, 7, n)}
+    monkeypatch.setattr(sampling, "_QUERY_BLOCK", 64)
+    blocks = []
+    query_many = index.query_many
+    index.query_many = lambda p, k: (blocks.append(len(p)), query_many(p, k))[1]
+    for k in (1, 7, n):
+        blocks.clear()
+        assert np.array_equal(index.query_many(points, k), whole[k])
+        # the first call splits into calls of at most 64 // (k + 1) rows each
+        assert blocks[0] == 50 and len(blocks) > 2 and max(blocks[1:]) == max(1, 64 // (k + 1))
 
 
 def test_query_many_rejects_bad_points():
